@@ -6,7 +6,7 @@
 //! Full optimization levels, the static lint passes, the staleness
 //! oracle in both HSCD semantics, and an end-to-end simulation under
 //! every requested registry scheme with `verify_freshness` forced on.
-//! Six checks guard the result, each a [`ViolationClass`]:
+//! Eight checks guard the result, each a [`ViolationClass`]:
 //!
 //! 1. **Generation** — the program must trace (no DOALL races, no
 //!    interpreter failures). The generator promises this by
@@ -27,6 +27,12 @@
 //!    false) must produce cycle-identical results at Naive and Full
 //!    (only the marks differ between those traces), and every scheme
 //!    must agree on the trace-determined read/write totals.
+//! 8. **Replay** — [`run_trace`], the min-clock reference
+//!    [`run_trace_reference`], and the shard protocol at 2 and 7 shards
+//!    must produce identical results: every [`SimResult`] field but host
+//!    time. This is what holds each engine's
+//!    [`CoherenceEngine::shard_safe`] claim to account, since that flag
+//!    picks the default replay path.
 //!
 //! Violations become stable `TPI902 fuzz-violation` diagnostics.
 
@@ -40,7 +46,10 @@ use tpi::proto::{
     TardisEngine, TpiEngine,
 };
 use tpi::runner::{ProgramSource, RunSpec};
-use tpi::sim::{run_trace, verify_accounting, SimResult};
+use tpi::sim::{
+    run_trace, run_trace_reference, run_trace_sharded_with, verify_accounting, ShardExec,
+    ShardOptions, SimResult,
+};
 use tpi::trace::SchedulePolicy;
 use tpi::{catch_cell_panic, ExperimentConfig, Runner};
 use tpi_analysis::diag::json_string;
@@ -97,6 +106,9 @@ pub enum ViolationClass {
     Invariant,
     /// Scheme results disagree where the registry says they must not.
     Agreement,
+    /// The default replay, the min-clock reference replay and sharded
+    /// replay disagree.
+    Replay,
 }
 
 impl ViolationClass {
@@ -111,6 +123,7 @@ impl ViolationClass {
             ViolationClass::Accounting => "accounting",
             ViolationClass::Invariant => "invariant",
             ViolationClass::Agreement => "agreement",
+            ViolationClass::Replay => "replay",
         }
     }
 }
@@ -133,17 +146,21 @@ pub enum Sabotage {
     HybridDropSharer,
     /// Tardis rewinds word 0's write timestamp.
     TardisRewindWts,
+    /// The full-map directory claims to be shard-safe, so it replays flat
+    /// although its sharer state is order-sensitive.
+    FullmapClaimsShardSafe,
 }
 
 impl Sabotage {
     /// Every hook, in a stable order.
-    pub const ALL: [Sabotage; 6] = [
+    pub const ALL: [Sabotage; 7] = [
         Sabotage::TpiSkipResets,
         Sabotage::FullmapDropSharer,
         Sabotage::LimitlessDropSharer,
         Sabotage::BaseCacheShared,
         Sabotage::HybridDropSharer,
         Sabotage::TardisRewindWts,
+        Sabotage::FullmapClaimsShardSafe,
     ];
 
     /// Stable name (accepted by `tpi-fuzz --sabotage`).
@@ -156,6 +173,7 @@ impl Sabotage {
             Sabotage::BaseCacheShared => "base-cache-shared",
             Sabotage::HybridDropSharer => "hybrid-drop-sharer",
             Sabotage::TardisRewindWts => "tardis-rewind-wts",
+            Sabotage::FullmapClaimsShardSafe => "hw-claims-shard-safe",
         }
     }
 
@@ -164,7 +182,7 @@ impl Sabotage {
     pub fn target(self) -> SchemeId {
         match self {
             Sabotage::TpiSkipResets => SchemeId::TPI,
-            Sabotage::FullmapDropSharer => SchemeId::FULL_MAP,
+            Sabotage::FullmapDropSharer | Sabotage::FullmapClaimsShardSafe => SchemeId::FULL_MAP,
             Sabotage::LimitlessDropSharer => SchemeId::LIMITLESS,
             Sabotage::BaseCacheShared => SchemeId::BASE,
             Sabotage::HybridDropSharer => SchemeId::HYBRID,
@@ -187,7 +205,9 @@ impl Sabotage {
             })
     }
 
-    /// Breaks `engine` in place (no-op if it is not the targeted type).
+    /// Breaks `engine` in place (no-op if it is not the targeted type, and
+    /// for [`Sabotage::FullmapClaimsShardSafe`], whose lie is told by the
+    /// wrapping engine).
     pub fn apply(self, engine: &mut dyn CoherenceEngine) {
         let any = engine.as_any_mut();
         match self {
@@ -216,6 +236,7 @@ impl Sabotage {
                     e.debug_rewind_wts(WordAddr(0));
                 }
             }
+            Sabotage::FullmapClaimsShardSafe => {}
         }
     }
 }
@@ -293,6 +314,18 @@ impl CoherenceEngine for SabotagedEngine {
     }
     fn op_counts(&self) -> Vec<(&'static str, u64)> {
         self.inner.op_counts()
+    }
+    fn shard_safe(&self) -> bool {
+        self.hook == Sabotage::FullmapClaimsShardSafe || self.inner.shard_safe()
+    }
+    fn enable_shard_tracking(&mut self) {
+        self.inner.enable_shard_tracking();
+    }
+    fn drain_version_updates(&mut self) -> Vec<(u64, u64)> {
+        self.inner.drain_version_updates()
+    }
+    fn apply_version_updates(&mut self, updates: &[(u64, u64)]) {
+        self.inner.apply_version_updates(updates);
     }
 }
 
@@ -483,6 +516,72 @@ fn scheme_invariants(scheme: SchemeId) -> Vec<tpi::proto::ModelInvariant> {
         .model_invariants()
 }
 
+/// The first field in which two replays of one trace differ (host time
+/// excepted).
+fn first_difference(a: &SimResult, b: &SimResult) -> Option<&'static str> {
+    [
+        ("scheme", a.scheme == b.scheme),
+        ("total_cycles", a.total_cycles == b.total_cycles),
+        ("busy_cycles", a.busy_cycles == b.busy_cycles),
+        ("agg", a.agg == b.agg),
+        ("per_proc", a.per_proc == b.per_proc),
+        ("traffic", a.traffic == b.traffic),
+        ("wbuffer", a.wbuffer == b.wbuffer),
+        ("epochs", a.epochs == b.epochs),
+        ("lock_acquires", a.lock_acquires == b.lock_acquires),
+        ("lock_wait_cycles", a.lock_wait_cycles == b.lock_wait_cycles),
+        ("profile", a.profile == b.profile),
+        ("miss_by_array", a.miss_by_array == b.miss_by_array),
+        ("host.events", a.host.events == b.host.events),
+        ("host.ops", a.host.ops == b.host.ops),
+    ]
+    .into_iter()
+    .find(|&(_, same)| !same)
+    .map(|(field, _)| field)
+}
+
+/// Replays `trace` by the min-clock reference and sharded at 2 and 7
+/// shards, on engines from `build`, and describes the first way one of
+/// them, or `sim` (the default replay), departs from the reference.
+fn replay_mismatch(
+    trace: &tpi::trace::Trace,
+    build: &dyn Fn() -> Box<dyn CoherenceEngine>,
+    opts: &tpi::sim::SimOptions,
+    sim: &SimResult,
+) -> Option<String> {
+    let reference = match catch_cell_panic(|| run_trace_reference(trace, build().as_mut(), opts)) {
+        Ok(r) => r,
+        Err(panic) => return Some(format!("reference replay panicked: {panic}")),
+    };
+    let differs = |label: &str, got: &SimResult| {
+        first_difference(got, &reference).map(|field| {
+            format!(
+                "{label} differs from the reference replay in {field} \
+                 (total cycles {} vs {})",
+                got.total_cycles, reference.total_cycles
+            )
+        })
+    };
+    if let Some(d) = differs("run_trace", sim) {
+        return Some(d);
+    }
+    for shards in [2, 7] {
+        let so = ShardOptions {
+            shards,
+            exec: ShardExec::Inline,
+        };
+        match catch_cell_panic(|| run_trace_sharded_with(trace, build, opts, &so)) {
+            Ok(got) => {
+                if let Some(d) = differs(&format!("{shards}-shard replay"), &got) {
+                    return Some(d);
+                }
+            }
+            Err(panic) => return Some(format!("{shards}-shard replay panicked: {panic}")),
+        }
+    }
+    None
+}
+
 /// Runs the whole differential predicate over one program.
 ///
 /// Returns the findings plus (parallel epochs, simulations executed).
@@ -564,18 +663,22 @@ fn check_program(
     for cell in &cells {
         let cfg = cell.spec.config;
         let trace = cell.trace.as_ref();
-        let total_words = trace.layout.total_words();
+        let engine_cfg = cfg.engine_config(trace.layout.total_words());
+        let sim_opts = cfg.sim_options();
         for &scheme in schemes {
             sims += 1;
-            let outcome = catch_cell_panic(|| {
-                let built = build_engine(scheme, cfg.engine_config(total_words));
-                let mut engine: Box<dyn CoherenceEngine> = match sabotage {
+            let build = || -> Box<dyn CoherenceEngine> {
+                let built = build_engine(scheme, engine_cfg.clone());
+                match sabotage {
                     Some(hook) if hook.target() == scheme => {
                         Box::new(SabotagedEngine::new(built, hook))
                     }
                     _ => built,
-                };
-                let sim = run_trace(trace, engine.as_mut(), &cfg.sim_options());
+                }
+            };
+            let outcome = catch_cell_panic(|| {
+                let mut engine = build();
+                let sim = run_trace(trace, engine.as_mut(), &sim_opts);
                 (sim, engine)
             });
             match outcome {
@@ -605,6 +708,16 @@ fn check_program(
                                 detail: format!("{}: {broken}", inv.name),
                             });
                         }
+                    }
+                    // 8. Every replay path must reproduce the reference
+                    // order exactly.
+                    if let Some(detail) = replay_mismatch(trace, &build, &sim_opts, &sim) {
+                        out.push(RawViolation {
+                            class: ViolationClass::Replay,
+                            scheme: Some(scheme),
+                            level: Some(cfg.opt_level),
+                            detail,
+                        });
                     }
                     results.push((scheme, cfg.opt_level, Fingerprint::of(&sim)));
                 }
@@ -807,4 +920,23 @@ fn minimize_violation(
         violates(candidate, cfg_seed, &schemes, opts.sabotage, class, scheme)
     });
     tpi_ir::program_to_source(&min)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpi::proto::EngineConfig;
+
+    #[test]
+    fn sabotaged_engines_report_the_inner_shard_safety_unless_the_hook_lies() {
+        let wrap = |scheme: SchemeId, hook: Sabotage| {
+            let inner = build_engine(scheme, EngineConfig::paper_default(64));
+            SabotagedEngine::new(inner, hook).shard_safe()
+        };
+        assert!(wrap(SchemeId::TPI, Sabotage::TpiSkipResets));
+        assert!(wrap(SchemeId::BASE, Sabotage::BaseCacheShared));
+        assert!(!wrap(SchemeId::HYBRID, Sabotage::HybridDropSharer));
+        assert!(!wrap(SchemeId::FULL_MAP, Sabotage::FullmapDropSharer));
+        assert!(wrap(SchemeId::FULL_MAP, Sabotage::FullmapClaimsShardSafe));
+    }
 }

@@ -104,6 +104,54 @@ fn sabotaged_engine_is_caught_and_minimized() {
 }
 
 #[test]
+fn shard_safety_lie_is_caught_by_the_replay_class_and_minimized() {
+    // A full-map directory that claims shard-safety replays flat and
+    // shards into replicas that never see each other's sharers: the
+    // replay class must notice, and shrink the kernel.
+    let opts = FuzzOptions {
+        seed: 7,
+        count: 2,
+        schemes: vec![SchemeId::FULL_MAP],
+        minimize: true,
+        sabotage: Some(Sabotage::FullmapClaimsShardSafe),
+        ..FuzzOptions::default()
+    };
+    let report = run_fuzz(&opts);
+    assert!(!report.is_clean(), "the shard-safety lie went unnoticed");
+    for v in &report.violations {
+        assert_eq!(
+            v.class,
+            ViolationClass::Replay,
+            "{}",
+            v.diagnostic().human()
+        );
+        assert_eq!(v.scheme, Some(SchemeId::FULL_MAP));
+    }
+    let v = &report.violations[0];
+    let min_src = v.minimized.as_ref().expect("minimize was requested");
+    assert!(min_src.len() <= v.source.len());
+    let min_prog = Arc::new(tpi_ir::parse_program(min_src).expect("reproducer must re-parse"));
+    let cs = cfg_seed(opts.seed, v.index as u64);
+    assert!(violates(
+        &min_prog,
+        cs,
+        &opts.schemes,
+        opts.sabotage,
+        v.class,
+        v.scheme
+    ));
+    // Healthy engines agree on every replay path for the same kernel.
+    assert!(!violates(
+        &min_prog,
+        cs,
+        &opts.schemes,
+        None,
+        v.class,
+        v.scheme
+    ));
+}
+
+#[test]
 fn fuzz_config_is_deterministic_and_freshness_verified() {
     let a = fuzz_config(3);
     let b = fuzz_config(3);

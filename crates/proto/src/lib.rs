@@ -360,9 +360,18 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
 
     /// Whether this engine's per-event outcomes are a pure function of
     /// per-processor state, epoch-start global state, and commutative
-    /// global accumulators — the invariant that lets the shard-parallel
-    /// simulator replay disjoint processor sets on engine replicas and
-    /// merge at epoch boundaries with bit-identical results.
+    /// global accumulators, never of how other processors interleave
+    /// within the epoch.
+    ///
+    /// The flag decides the replay path of every run, not only of sharded
+    /// ones. When it is true, the simulator replays each sync-free epoch
+    /// one processor stream at a time, on one engine in `run_trace` or on
+    /// engine replicas merged at epoch boundaries in `run_trace_sharded`.
+    /// When it is false, sync-free epochs replay in exact min-clock order
+    /// through a heap of processor clocks. A wrong `true` therefore
+    /// changes serial results; the `replay` class of `tpi-fuzz` and the
+    /// reference pins compare both paths against the min-clock reference
+    /// replay.
     ///
     /// True for the epoch-disciplined schemes (BASE, SC, TPI, IDEAL):
     /// their only cross-processor state is the memory version table,
@@ -370,8 +379,7 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// drain). False for the order-sensitive schemes: the directory
     /// engines observe mid-epoch sharer/owner state (three-hop dirty
     /// fetches, false-sharing invalidations) and Tardis stamps leases
-    /// from a live global read-timestamp table; those replay through the
-    /// serial core.
+    /// from a live global read-timestamp table.
     fn shard_safe(&self) -> bool {
         false
     }
@@ -392,8 +400,9 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// Max-merges another shard's drained version commits into this
     /// engine's memory version table. Versions grow monotonically, so the
     /// merge is commutative and idempotent — shard order cannot matter.
-    /// Must not disturb any observational counter (the serial path never
-    /// calls this, and the shard merge must stay bit-identical to it).
+    /// Must not disturb any observational counter (a one-shard run only
+    /// ever passes it an empty slice, and the shard merge must stay
+    /// bit-identical to that run).
     fn apply_version_updates(&mut self, _updates: &[(u64, u64)]) {}
 }
 

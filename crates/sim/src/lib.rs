@@ -39,5 +39,8 @@
 pub mod run;
 pub mod shard;
 
-pub use run::{run_trace, verify_accounting, EpochProfile, SimHostProfile, SimOptions, SimResult};
-pub use shard::{run_trace_sharded, ShardExec, ShardOptions};
+pub use run::{
+    run_trace, run_trace_reference, verify_accounting, EpochProfile, SimHostProfile, SimOptions,
+    SimResult,
+};
+pub use shard::{run_trace_sharded, run_trace_sharded_with, ShardExec, ShardOptions};

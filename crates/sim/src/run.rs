@@ -1,20 +1,23 @@
 //! Replaying a trace against a coherence engine with cycle accounting.
 //!
-//! The simulator advances one global clock per epoch: within an epoch the
-//! per-processor event streams are interleaved in local-time order (the
-//! processor with the smallest clock executes its next event), which keeps
-//! cross-processor protocol interactions — directory invalidations,
-//! ownership transfers, network load — causally ordered. At the epoch
-//! boundary all processors synchronize at a barrier: the engine adds its
-//! boundary costs (write-buffer drain, two-phase resets), a fixed loop
-//! setup/scheduling overhead is charged, and the network's load estimate is
-//! refreshed from the epoch's traffic.
+//! The simulator advances one global clock per epoch. Within an epoch each
+//! processor's event stream advances its own clock, and cross-processor
+//! protocol interactions — directory invalidations, ownership transfers,
+//! lock hand-offs — happen in min-clock order: the processor with the
+//! smallest `(clock, index)` issues next. At the epoch boundary all
+//! processors synchronize at a barrier: the engine adds its boundary costs
+//! (write-buffer drain, two-phase resets), a fixed loop setup/scheduling
+//! overhead is charged, and the network's load estimate is refreshed from
+//! the epoch's traffic.
+//!
+//! This module holds the result types and the entry points; the replay
+//! itself is the epoch phase protocol in [`crate::shard`], of which
+//! [`run_trace`] is the one-shard case.
 
 use std::time::Instant;
-use tpi_mem::{Cycle, ProcId};
-use tpi_net::TrafficClass;
+use tpi_mem::Cycle;
 use tpi_proto::CoherenceEngine;
-use tpi_trace::{Event, Trace};
+use tpi_trace::Trace;
 
 /// Simulator knobs that are not part of the coherence engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +54,8 @@ pub struct EpochProfile {
 /// compare cycles, protocol counters, and traffic — never host time).
 #[derive(Debug, Clone, Default)]
 pub struct SimHostProfile {
-    /// Host nanoseconds spent replaying events (the min-clock interleaving
-    /// loop, including engine read/write calls).
+    /// Host nanoseconds spent replaying events (every epoch's replay
+    /// phase, flat, heap or scan, including engine read/write calls).
     pub replay_nanos: u64,
     /// Host nanoseconds spent in [`CoherenceEngine::epoch_boundary`]
     /// (write-buffer drains, two-phase resets).
@@ -136,252 +139,35 @@ impl SimResult {
 
 /// Replays `trace` against `engine`.
 ///
+/// This is the one-shard case of the epoch phase protocol in
+/// [`crate::shard`]: each epoch replays flat, through a heap of processor
+/// clocks, or by scan, as its synchronization events and
+/// [`CoherenceEngine::shard_safe`] allow (see the module docs there). The
+/// result always equals [`run_trace_reference`]'s.
+///
 /// # Panics
 ///
 /// Panics if the trace was generated for a different processor count than
-/// the engine was built with.
+/// the engine was built with, or on a malformed trace (lock deadlock).
 pub fn run_trace(trace: &Trace, engine: &mut dyn CoherenceEngine, opts: &SimOptions) -> SimResult {
-    let procs = trace.num_procs as usize;
-    assert_eq!(
-        procs,
-        engine.stats().per_proc().len(),
-        "trace and engine disagree on processor count"
-    );
-    let mut global: Cycle = 0;
-    let mut busy = vec![0u64; procs];
-    let mut lock_acquires = 0u64;
-    let mut lock_wait_cycles: Cycle = 0;
-    let mut profile = Vec::with_capacity(trace.epochs.len());
-    // Per-array read-miss tally, indexed directly by `ArrayId` (dense).
-    let mut array_misses: Vec<u64> = vec![0; trace.layout.decls().len()];
-    let mut replay_nanos = 0u64;
-    let mut boundary_nanos = 0u64;
-    let mut events_replayed = 0u64;
+    crate::shard::run_one_shard(trace, engine, opts, false)
+}
 
-    // One pre-scan over the trace turns the synchronization keyspace dense:
-    // lock ids index a flat holder table, and every distinct (event, index)
-    // post/wait pair gets a dense id via binary search. The replay loop —
-    // the simulator's hottest path — then runs without a single hash lookup.
-    let mut max_lock: Option<u32> = None;
-    let mut sync_pairs: Vec<(u32, i64)> = Vec::new();
-    for epoch in &trace.epochs {
-        for stream in &epoch.per_proc {
-            for ev in stream {
-                match ev {
-                    Event::AcquireLock(l) | Event::ReleaseLock(l) => {
-                        max_lock = Some(max_lock.map_or(*l, |m| m.max(*l)));
-                    }
-                    Event::PostEvent { event, index } | Event::WaitEvent { event, index } => {
-                        sync_pairs.push((*event, *index));
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    sync_pairs.sort_unstable();
-    sync_pairs.dedup();
-    let sync_id = |event: u32, index: i64| {
-        sync_pairs
-            .binary_search(&(event, index))
-            .expect("every post/wait pair was pre-scanned")
-    };
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Block {
-        /// Waiting for this lock id to free.
-        Lock(u32),
-        /// Waiting for this dense sync-pair id to be posted.
-        Event(usize),
-    }
-    // Per-epoch state, allocated once and reset per epoch (the hoisting
-    // matters: a 100k-epoch trace would otherwise allocate five tables per
-    // epoch).
-    let mut clocks = vec![0 as Cycle; procs];
-    let mut idx = vec![0usize; procs];
-    let mut blocked_on: Vec<Option<Block>> = vec![None; procs];
-    // Processors with events still to replay this epoch. Scanning only
-    // these (instead of all `procs`) makes serial epochs — one non-empty
-    // stream — cost O(events) instead of O(events * procs).
-    let mut active: Vec<usize> = Vec::with_capacity(procs);
-    // Lock state: holder per lock id; locks never span epochs.
-    let mut lock_holder: Vec<Option<usize>> = vec![None; max_lock.map_or(0, |m| m as usize + 1)];
-    // Doacross posts: post time per dense sync id, valid only when the
-    // stamp matches the current epoch (stamping replaces per-epoch clears).
-    let mut posted_at: Vec<Cycle> = vec![0; sync_pairs.len()];
-    let mut posted_stamp: Vec<u64> = vec![0; sync_pairs.len()];
-    let mut epoch_stamp: u64 = 0;
-
-    for epoch in &trace.epochs {
-        let host_epoch_start = Instant::now();
-        let t0 = global;
-        let misses_before = engine.stats().aggregate().read_misses();
-        epoch_stamp += 1;
-        clocks.fill(t0);
-        idx.fill(0);
-        blocked_on.fill(None);
-        lock_holder.fill(None);
-        active.clear();
-        active.extend((0..procs).filter(|&p| !epoch.per_proc[p].is_empty()));
-        // Min-clock interleaving across processors; blocked processors are
-        // ineligible until their lock frees. Ties break to the lowest
-        // processor index, so the winner is independent of scan order.
-        loop {
-            let mut next: Option<usize> = None;
-            for &p in &active {
-                let eligible = match blocked_on[p] {
-                    Some(Block::Lock(l)) => lock_holder[l as usize].is_none(),
-                    Some(Block::Event(id)) => posted_stamp[id] == epoch_stamp,
-                    None => true,
-                };
-                if eligible && next.is_none_or(|q: usize| (clocks[p], p) < (clocks[q], q)) {
-                    next = Some(p);
-                }
-            }
-            let Some(p) = next else {
-                assert!(
-                    active.is_empty(),
-                    "lock deadlock: events remain but every processor is blocked"
-                );
-                break;
-            };
-            let ev = &epoch.per_proc[p][idx[p]];
-            let now = clocks[p];
-            let spent = match ev {
-                Event::Compute(c) => Cycle::from(*c),
-                Event::Read {
-                    addr,
-                    kind,
-                    version,
-                } => {
-                    let outcome = engine.read(ProcId(p as u32), *addr, *kind, *version, now);
-                    if outcome.miss.is_some() {
-                        // Private replicas live at base + k*span: fold back.
-                        let span = trace.layout.total_words().max(1);
-                        let folded = tpi_mem::WordAddr(addr.0 % span);
-                        if let Some(id) = trace.layout.array_of(folded) {
-                            array_misses[id.0 as usize] += 1;
-                        }
-                    }
-                    outcome.stall
-                }
-                Event::Write { addr, version } => {
-                    engine.write(ProcId(p as u32), *addr, *version, now)
-                }
-                Event::CriticalWrite { addr, version } => {
-                    engine.write_critical(ProcId(p as u32), *addr, *version, now)
-                }
-                Event::AcquireLock(l) => {
-                    if lock_holder[*l as usize].is_some() {
-                        // Stay blocked; retry once the holder releases.
-                        blocked_on[p] = Some(Block::Lock(*l));
-                        continue;
-                    }
-                    blocked_on[p] = None;
-                    lock_holder[*l as usize] = Some(p);
-                    lock_acquires += 1;
-                    // The acquire itself is an atomic read-modify-write at
-                    // the lock's home memory module.
-                    engine.network_mut().record(TrafficClass::Coherence, 1);
-                    engine.network().word_fetch()
-                }
-                Event::ReleaseLock(l) => {
-                    let holder = lock_holder[*l as usize].take();
-                    debug_assert_eq!(holder, Some(p), "release by non-holder");
-                    // Waiters resume no earlier than the release instant.
-                    for q in 0..procs {
-                        if blocked_on[q] == Some(Block::Lock(*l)) && clocks[q] < now {
-                            lock_wait_cycles += now - clocks[q];
-                            clocks[q] = now;
-                        }
-                    }
-                    engine.network_mut().record(TrafficClass::Coherence, 1);
-                    1
-                }
-                Event::PostEvent { event, index } => {
-                    // The post is a release fence + a flag write at the
-                    // event's home node.
-                    let id = sync_id(*event, *index);
-                    posted_at[id] = now;
-                    posted_stamp[id] = epoch_stamp;
-                    for q in 0..procs {
-                        if blocked_on[q] == Some(Block::Event(id)) && clocks[q] < now {
-                            lock_wait_cycles += now - clocks[q];
-                            clocks[q] = now;
-                        }
-                    }
-                    engine.network_mut().record(TrafficClass::Coherence, 1);
-                    1
-                }
-                Event::WaitEvent { event, index } => {
-                    let id = sync_id(*event, *index);
-                    if posted_stamp[id] == epoch_stamp {
-                        let t = posted_at[id];
-                        blocked_on[p] = None;
-                        // Poll of the flag at the event's home node.
-                        engine.network_mut().record(TrafficClass::Coherence, 0);
-                        let stall = now.max(t).saturating_sub(now) + 1;
-                        lock_wait_cycles += stall - 1;
-                        stall
-                    } else {
-                        blocked_on[p] = Some(Block::Event(id));
-                        continue;
-                    }
-                }
-            };
-            idx[p] += 1;
-            clocks[p] += spent;
-            events_replayed += 1;
-            if idx[p] == epoch.per_proc[p].len() {
-                active.retain(|&q| q != p);
-            }
-        }
-        for p in 0..procs {
-            busy[p] += clocks[p] - t0;
-        }
-        replay_nanos = replay_nanos.saturating_add(elapsed_nanos_since(host_epoch_start));
-        let host_boundary_start = Instant::now();
-        let stalls = engine.epoch_boundary(&clocks);
-        boundary_nanos = boundary_nanos.saturating_add(elapsed_nanos_since(host_boundary_start));
-        let t_end = clocks
-            .iter()
-            .zip(&stalls)
-            .map(|(c, s)| c + s)
-            .max()
-            .unwrap_or(t0)
-            + opts.epoch_setup_cycles;
-        engine.network_mut().end_epoch(t_end - t0);
-        profile.push(EpochProfile {
-            epoch: epoch.epoch.0,
-            cycles: t_end - t0,
-            misses: engine.stats().aggregate().read_misses() - misses_before,
-        });
-        // Serial epochs still synchronize (the paper's master-worker model).
-        let _ = &epoch.kind;
-        global = t_end;
-    }
-
-    let per_proc: Vec<tpi_proto::ProcStats> = engine.stats().per_proc().to_vec();
-    SimResult {
-        scheme: engine.name().to_owned(),
-        total_cycles: global,
-        busy_cycles: busy,
-        agg: engine.stats().aggregate(),
-        per_proc,
-        traffic: *engine.network().stats(),
-        wbuffer: engine.write_buffer_stats(),
-        epochs: trace.epochs.len() as u64,
-        lock_acquires,
-        lock_wait_cycles,
-        profile,
-        miss_by_array: miss_by_array_table(&trace.layout, &array_misses),
-        host: SimHostProfile {
-            replay_nanos,
-            boundary_nanos,
-            events: events_replayed,
-            ops: engine.op_counts(),
-        },
-    }
+/// Replays `trace` against `engine` with the min-clock scan in every
+/// epoch: the reference order that [`run_trace`] and
+/// [`crate::run_trace_sharded`] must reproduce exactly. Equivalence tests
+/// and the differential fuzzer compare against it; it is `O(P)` per event,
+/// so nothing else should call it.
+///
+/// # Panics
+///
+/// As [`run_trace`].
+pub fn run_trace_reference(
+    trace: &Trace,
+    engine: &mut dyn CoherenceEngine,
+    opts: &SimOptions,
+) -> SimResult {
+    crate::shard::run_one_shard(trace, engine, opts, true)
 }
 
 /// Saturating nanoseconds since `start` (a duration that overflows `u64`
@@ -391,7 +177,7 @@ pub(crate) fn elapsed_nanos_since(start: Instant) -> u64 {
 }
 
 /// Renders a dense per-array miss tally as the report's sorted
-/// `(array name, misses)` table (shared by the serial and sharded paths).
+/// `(array name, misses)` table.
 pub(crate) fn miss_by_array_table(
     layout: &tpi_mem::MemLayout,
     array_misses: &[u64],
@@ -432,109 +218,4 @@ pub fn verify_accounting(result: &SimResult) -> Result<(), String> {
         return Err("aggregate accounting mismatch".to_owned());
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpi_compiler::{mark_program, CompilerOptions};
-    use tpi_ir::{subs, ProgramBuilder};
-    use tpi_proto::{build_engine, registry, EngineConfig, SchemeId};
-    use tpi_trace::{generate_trace, TraceOptions};
-
-    fn producer_consumer_trace() -> Trace {
-        let mut p = ProgramBuilder::new();
-        let a = p.shared("A", [256]);
-        let b = p.shared("B", [256]);
-        let main = p.proc("main", |f| {
-            f.doall(0, 255, |i, f| f.store(a.at(subs![i]), vec![], 2));
-            f.doall(0, 255, |i, f| {
-                f.store(b.at(subs![i]), vec![a.at(subs![i])], 2)
-            });
-        });
-        let prog = p.finish(main).unwrap();
-        let marking = mark_program(&prog, &CompilerOptions::default());
-        generate_trace(&prog, &marking, &TraceOptions::default()).unwrap()
-    }
-
-    fn run(scheme: SchemeId, trace: &Trace) -> SimResult {
-        let cfg = EngineConfig::paper_default(trace.layout.total_words());
-        let mut engine = build_engine(scheme, cfg);
-        run_trace(trace, engine.as_mut(), &SimOptions::default())
-    }
-
-    #[test]
-    fn accounting_identity_holds_for_all_schemes() {
-        let trace = producer_consumer_trace();
-        for scheme in registry::global().all().iter().map(|s| s.id()) {
-            let r = run(scheme, &trace);
-            verify_accounting(&r).unwrap_or_else(|e| panic!("{scheme}: {e}"));
-            assert!(r.total_cycles > 0);
-            assert_eq!(r.epochs, 2);
-        }
-    }
-
-    #[test]
-    fn scheme_ordering_on_producer_consumer() {
-        let trace = producer_consumer_trace();
-        let base = run(SchemeId::BASE, &trace);
-        let tpi = run(SchemeId::TPI, &trace);
-        let hw = run(SchemeId::FULL_MAP, &trace);
-        // Caching schemes beat no-caching on this kernel.
-        assert!(tpi.total_cycles < base.total_cycles);
-        assert!(hw.total_cycles < base.total_cycles);
-        // TPI and HW are in the same ballpark (the paper's headline).
-        let ratio = tpi.total_cycles as f64 / hw.total_cycles as f64;
-        assert!(
-            (0.4..2.5).contains(&ratio),
-            "TPI/HW ratio out of band: {ratio} ({} vs {})",
-            tpi.total_cycles,
-            hw.total_cycles
-        );
-    }
-
-    #[test]
-    fn deterministic_replay() {
-        let trace = producer_consumer_trace();
-        let r1 = run(SchemeId::TPI, &trace);
-        let r2 = run(SchemeId::TPI, &trace);
-        assert_eq!(r1.total_cycles, r2.total_cycles);
-        assert_eq!(r1.traffic, r2.traffic);
-    }
-
-    #[test]
-    fn busy_cycles_do_not_exceed_total() {
-        let trace = producer_consumer_trace();
-        let r = run(SchemeId::TPI, &trace);
-        for &b in &r.busy_cycles {
-            assert!(b <= r.total_cycles);
-        }
-    }
-
-    #[test]
-    fn host_profile_counts_every_event_once() {
-        let trace = producer_consumer_trace();
-        let r = run(SchemeId::TPI, &trace);
-        let total_events: usize = trace.epochs.iter().map(EpochEvents::len).sum();
-        assert_eq!(r.host.events, total_events as u64);
-        assert!(r.host.replay_nanos > 0, "replay loop must record wall time");
-        assert!(
-            r.host
-                .ops
-                .iter()
-                .any(|(name, n)| *name == "tpi_fills" && *n > 0),
-            "TPI engine must report op counters: {:?}",
-            r.host.ops
-        );
-    }
-
-    use tpi_trace::EpochEvents;
-
-    #[test]
-    fn write_through_schemes_report_buffer_stats() {
-        let trace = producer_consumer_trace();
-        assert!(run(SchemeId::TPI, &trace).wbuffer.is_some());
-        assert!(run(SchemeId::SC, &trace).wbuffer.is_some());
-        assert!(run(SchemeId::FULL_MAP, &trace).wbuffer.is_none());
-    }
 }

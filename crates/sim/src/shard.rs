@@ -1,12 +1,33 @@
-//! Shard-parallel trace replay with a deterministic merge.
+//! The epoch phase protocol: one replay core for serial and shard-parallel
+//! trace replay.
 //!
-//! The serial replay loop ([`crate::run_trace`]) interleaves all processors
-//! through one engine. This module partitions the processors across `S`
-//! engine *shards* (`owner(p) = p % S`) and replays each shard's processors
+//! [`crate::run_trace`] is this protocol's one-shard case.
+//! [`run_trace_sharded`] partitions the processors across `S` engine
+//! *shards* (`owner(p) = p % S`) and replays each shard's processors
 //! independently within an epoch, synchronizing only at epoch boundaries —
 //! exactly the barrier discipline the simulated machine itself uses.
 //!
-//! # Why this is exact, not approximate
+//! # Three exact replay strategies
+//!
+//! The reference order within an epoch is the min-clock order: the
+//! processor with the smallest `(clock, index)` issues the next event. Each
+//! epoch's replay phase reproduces it with one of three strategies, chosen
+//! before the run from two facts — whether the epoch holds lock or
+//! post/wait events, and whether the engine is
+//! [`CoherenceEngine::shard_safe`]:
+//!
+//! * **Flat** — a sync-free epoch on a shard-safe engine replays each
+//!   processor's stream straight through, with no ordering at all.
+//! * **Heap** — a sync-free epoch on an order-sensitive engine keeps a
+//!   binary min-heap of `(clock, processor)`. The popped processor runs
+//!   ahead while it stays below the heap's top, then trades places with
+//!   it: the engine sees the same calls in the same order as under the
+//!   scan, at `O(log P)` per processor switch instead of `O(P)` per event.
+//! * **Scan** — a sync-ful epoch scans every active processor's clock per
+//!   event, skipping processors blocked on a held lock or an unposted
+//!   event. [`crate::run_trace_reference`] replays every epoch this way.
+//!
+//! # Why flat is exact, not approximate
 //!
 //! A scheme may opt in by returning `true` from
 //! [`CoherenceEngine::shard_safe`]. The contract is that every per-event
@@ -19,20 +40,14 @@
 //! 3. commutative accumulators (traffic word counts, op counters),
 //!
 //! and never of the mid-epoch interleaving of *other* processors. Under
-//! that contract, replaying each processor's stream flat (no min-clock
-//! scan) produces bit-identical per-processor counters and clocks, and
-//! summing the commutative accumulators reproduces the serial totals
-//! exactly. The equivalence pin in `tests/runner_equivalence.rs` holds
-//! every scheme to this across kernels with false sharing and doacross
-//! synchronization.
-//!
-//! Epochs that contain lock or post/wait events are *sync-ful*: their
-//! cross-processor order is semantically meaningful, so they are replayed
-//! by a single dispatcher that mirrors the serial min-clock loop while
-//! still routing each engine call to the owning shard. Schemes whose
-//! protocol state is order-sensitive even for plain reads and writes
-//! (directory sharer sets, Tardis leases) report `shard_safe() == false`
-//! and fall back to the serial path entirely.
+//! that contract, replaying each processor's stream flat produces
+//! bit-identical per-processor counters and clocks, on one engine or on
+//! several, and summing the commutative accumulators reproduces the
+//! reference totals exactly. The reference pins in `crates/sim/tests` and
+//! the `replay` class of `tpi-fuzz` hold every scheme to this. Schemes
+//! whose protocol state is order-sensitive even for plain reads and writes
+//! (directory sharer sets, Tardis leases) report `shard_safe() == false`:
+//! they replay on one engine, through the heap.
 //!
 //! Each shard holds a full-width engine replica: processor `p`'s cache
 //! only ever has content on `owner(p)`'s replica, so per-processor results
@@ -43,8 +58,9 @@
 //!
 //! Per epoch, shards run four phases separated by barriers:
 //!
-//! * **P1 replay** — each shard replays its owned processors (flat), or
-//!   the dispatcher replays a sync-ful epoch on all shards.
+//! * **P1 replay** — each shard replays its owned processors flat, or the
+//!   coordinator replays the whole epoch in order (heap or scan), routing
+//!   each engine call to the owner's replica.
 //! * **C1 clock merge** — the coordinator assembles the full end-of-epoch
 //!   clock vector by owner-select.
 //! * **P2 boundary** — each shard runs
@@ -56,11 +72,12 @@
 //!   estimate from the merged totals, so every replica enters the next
 //!   epoch with an identical view of global state.
 //!
-//! Execution is either inline (one thread walks the shards — the fast
-//! path on a single-core host, where the win is the flat replay loop
-//! dropping the `O(P)` min-clock scan per event) or threaded (one OS
-//! thread per shard with [`std::sync::Barrier`] separating the phases).
+//! Execution is either inline (one thread walks the shards) or threaded
+//! (one OS thread per shard with [`std::sync::Barrier`] separating the
+//! phases).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
@@ -69,8 +86,8 @@ use tpi_net::TrafficClass;
 use tpi_proto::{build_engine, CoherenceEngine, EngineConfig, SchemeId};
 use tpi_trace::{Event, Trace};
 
-use crate::run::{elapsed_nanos_since, miss_by_array_table, run_trace, EpochProfile};
-use crate::{SimHostProfile, SimOptions, SimResult};
+use crate::run::{elapsed_nanos_since, miss_by_array_table, EpochProfile};
+use crate::{run_trace, SimHostProfile, SimOptions, SimResult};
 
 /// How the shards of a sharded run execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,8 +131,8 @@ impl Default for ShardOptions {
 /// # Panics
 ///
 /// Panics if the trace was generated for a different processor count than
-/// `cfg.procs`, or on a malformed trace (lock deadlock), mirroring the
-/// serial path.
+/// `cfg.procs`, or on a malformed trace (lock deadlock), as [`run_trace`]
+/// does.
 #[must_use]
 pub fn run_trace_sharded(
     trace: &Trace,
@@ -124,94 +141,152 @@ pub fn run_trace_sharded(
     opts: &SimOptions,
     shards: &ShardOptions,
 ) -> SimResult {
-    let procs = trace.num_procs as usize;
-    assert_eq!(
-        procs, cfg.procs as usize,
-        "trace and engine config disagree on processor count"
-    );
-    let s = shards.shards.clamp(1, procs.max(1));
-    let mut probe = build_engine(scheme, cfg.clone());
-    if s <= 1 || !probe.shard_safe() {
-        return run_trace(trace, probe.as_mut(), opts);
-    }
-    drop(probe);
+    run_trace_sharded_with(trace, || build_engine(scheme, cfg.clone()), opts, shards)
+}
 
-    let plan = Plan::build(trace, s);
-    let mut states: Vec<ShardState> = (0..s)
-        .map(|_| {
-            let mut engine = build_engine(scheme, cfg.clone());
+/// [`run_trace_sharded`] over engines from `build`, which is called once
+/// per shard (once in all when the run falls back to the serial path).
+/// Differential checkers use it to shard wrapped engines.
+///
+/// # Panics
+///
+/// As [`run_trace`].
+#[must_use]
+pub fn run_trace_sharded_with(
+    trace: &Trace,
+    mut build: impl FnMut() -> Box<dyn CoherenceEngine>,
+    opts: &SimOptions,
+    shards: &ShardOptions,
+) -> SimResult {
+    let procs = trace.num_procs as usize;
+    let s = shards.shards.clamp(1, procs.max(1));
+    let mut first = build();
+    if s <= 1 || !first.shard_safe() {
+        return run_trace(trace, first.as_mut(), opts);
+    }
+    let mut engines = vec![first];
+    engines.extend((1..s).map(|_| build()));
+    let states: Vec<ShardState> = engines
+        .iter_mut()
+        .map(|engine| {
             engine.enable_shard_tracking();
-            ShardState::new(engine, procs, trace.layout.decls().len())
+            ShardState::new(engine.as_mut(), trace)
         })
         .collect();
-    let mut coord = Coord::new(procs, trace.epochs.len());
-
     let threaded = match shards.exec {
         ShardExec::Inline => false,
         ShardExec::Threads => true,
         ShardExec::Auto => std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
     };
+    replay(trace, opts, Plan::build(trace, s, true), states, threaded)
+}
+
+/// Replays `trace` through `engine` as the protocol's one shard; with
+/// `reference` set, every epoch takes the scan.
+pub(crate) fn run_one_shard(
+    trace: &Trace,
+    engine: &mut dyn CoherenceEngine,
+    opts: &SimOptions,
+    reference: bool,
+) -> SimResult {
+    let mut plan = Plan::build(trace, 1, engine.shard_safe());
+    if reference {
+        plan.replay.fill(Replay::Scan);
+    }
+    let states = vec![ShardState::new(engine, trace)];
+    replay(trace, opts, plan, states, false)
+}
+
+/// Runs the phase protocol over `states` and merges the shards' result.
+fn replay(
+    trace: &Trace,
+    opts: &SimOptions,
+    plan: Plan,
+    mut states: Vec<ShardState>,
+    threaded: bool,
+) -> SimResult {
+    assert_eq!(
+        trace.num_procs as usize,
+        states[0].engine.stats().per_proc().len(),
+        "trace and engine disagree on processor count"
+    );
+    let mut coord = Coord::new(trace.num_procs as usize, trace.epochs.len());
     if threaded {
         run_threaded(trace, opts, &plan, &mut states, &mut coord);
     } else {
         run_inline(trace, opts, &plan, &mut states, &mut coord);
     }
-    merge_result(trace, &plan, states, coord)
+    merge_result(trace, &plan, &states, coord)
 }
 
 // ---------------------------------------------------------------------------
 // Precomputed replay plan
 // ---------------------------------------------------------------------------
 
-/// Everything derivable from the trace alone, computed once.
+/// How P1 replays one epoch (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Replay {
+    Flat,
+    Heap,
+    Scan,
+}
+
+/// Everything derivable from the trace and the engine's shard-safety,
+/// computed once.
 struct Plan {
     /// Shard count after clamping.
     shards: usize,
     /// `owner[p]` = shard whose engine replica holds processor `p`.
     owner: Vec<usize>,
-    /// Epochs containing no lock or post/wait events replay flat per
-    /// processor; the rest go through the serial-order dispatcher.
-    sync_free: Vec<bool>,
+    /// P1 strategy per epoch.
+    replay: Vec<Replay>,
     /// Highest lock id in the trace (locks never span epochs).
     max_lock: Option<u32>,
     /// Dense ids for every distinct post/wait `(event, index)` pair.
     sync_pairs: Vec<(u32, i64)>,
+    /// Private replicas live at `base + k * span`; a miss folds back to
+    /// its declared array by `addr % span`.
+    span: u64,
 }
 
 impl Plan {
-    fn build(trace: &Trace, shards: usize) -> Plan {
+    fn build(trace: &Trace, shards: usize, shard_safe: bool) -> Plan {
         let procs = trace.num_procs as usize;
         let owner = (0..procs).map(|p| p % shards).collect();
-        let mut sync_free = Vec::with_capacity(trace.epochs.len());
+        let sync_free = if shard_safe {
+            Replay::Flat
+        } else {
+            Replay::Heap
+        };
+        let mut replay = Vec::with_capacity(trace.epochs.len());
         let mut max_lock: Option<u32> = None;
         let mut sync_pairs: Vec<(u32, i64)> = Vec::new();
         for epoch in &trace.epochs {
             let mut free = true;
-            for stream in &epoch.per_proc {
-                for ev in stream {
-                    match ev {
-                        Event::AcquireLock(l) | Event::ReleaseLock(l) => {
-                            free = false;
-                            max_lock = Some(max_lock.map_or(*l, |m| m.max(*l)));
-                        }
-                        Event::PostEvent { event, index } | Event::WaitEvent { event, index } => {
-                            free = false;
-                            sync_pairs.push((*event, *index));
-                        }
-                        _ => {}
+            for ev in epoch.per_proc.iter().flatten() {
+                match ev {
+                    Event::AcquireLock(l) | Event::ReleaseLock(l) => {
+                        free = false;
+                        max_lock = Some(max_lock.map_or(*l, |m| m.max(*l)));
                     }
+                    Event::PostEvent { event, index } | Event::WaitEvent { event, index } => {
+                        free = false;
+                        sync_pairs.push((*event, *index));
+                    }
+                    _ => {}
                 }
             }
-            sync_free.push(free);
+            replay.push(if free { sync_free } else { Replay::Scan });
         }
         sync_pairs.sort_unstable();
         sync_pairs.dedup();
         Plan {
             shards,
             owner,
-            sync_free,
+            replay,
             max_lock,
             sync_pairs,
+            span: trace.layout.total_words().max(1),
         }
     }
 
@@ -228,11 +303,11 @@ impl Plan {
 
 /// One shard: an engine replica plus its per-epoch scratch and run-long
 /// accumulators.
-struct ShardState {
-    engine: Box<dyn CoherenceEngine>,
+struct ShardState<'e> {
+    engine: &'e mut dyn CoherenceEngine,
     /// Full-width clock vector; only owned entries are meaningful after a
-    /// flat replay (the dispatcher bypasses this and writes the
-    /// coordinator's vector directly).
+    /// flat replay (ordered replays write the coordinator's vector
+    /// directly).
     clocks: Vec<Cycle>,
     /// Boundary stalls from the last `epoch_boundary` call.
     stalls: Vec<Cycle>,
@@ -244,8 +319,7 @@ struct ShardState {
     miss_prev: u64,
     /// Read misses owned processors took during the last epoch.
     miss_delta: u64,
-    /// Trace events this shard replayed (dispatcher events are attributed
-    /// to the owner of the issuing processor).
+    /// Trace events issued on this shard's engine.
     events: u64,
     /// Per-array read-miss tally, dense by `ArrayId`.
     array_misses: Vec<u64>,
@@ -253,18 +327,18 @@ struct ShardState {
     boundary_nanos: u64,
 }
 
-impl ShardState {
-    fn new(engine: Box<dyn CoherenceEngine>, procs: usize, arrays: usize) -> ShardState {
+impl<'e> ShardState<'e> {
+    fn new(engine: &'e mut dyn CoherenceEngine, trace: &Trace) -> Self {
         ShardState {
             engine,
-            clocks: vec![0; procs],
+            clocks: vec![0; trace.num_procs as usize],
             stalls: Vec::new(),
             updates: Vec::new(),
             words: 0,
             miss_prev: 0,
             miss_delta: 0,
             events: 0,
-            array_misses: vec![0; arrays],
+            array_misses: vec![0; trace.layout.decls().len()],
             replay_nanos: 0,
             boundary_nanos: 0,
         }
@@ -276,10 +350,43 @@ impl ShardState {
             .stats()
             .per_proc()
             .iter()
-            .enumerate()
-            .filter(|&(p, _)| plan.owner[p] == me)
-            .map(|(_, s)| s.read_misses())
+            .skip(me)
+            .step_by(plan.shards)
+            .map(tpi_proto::ProcStats::read_misses)
             .sum()
+    }
+
+    /// Issues processor `p`'s non-synchronization event `ev` at local time
+    /// `now` and returns the cycles it took.
+    #[inline]
+    fn access(&mut self, trace: &Trace, plan: &Plan, p: usize, ev: &Event, now: Cycle) -> Cycle {
+        let proc = ProcId(p as u32);
+        match ev {
+            Event::Compute(c) => Cycle::from(*c),
+            Event::Read {
+                addr,
+                kind,
+                version,
+            } => {
+                let outcome = self.engine.read(proc, *addr, *kind, *version, now);
+                if outcome.miss.is_some() {
+                    let folded = tpi_mem::WordAddr(addr.0 % plan.span);
+                    if let Some(id) = trace.layout.array_of(folded) {
+                        self.array_misses[id.0 as usize] += 1;
+                    }
+                }
+                outcome.stall
+            }
+            Event::Write { addr, version } => self.engine.write(proc, *addr, *version, now),
+            Event::CriticalWrite { addr, version } => {
+                self.engine.write_critical(proc, *addr, *version, now)
+            }
+            // Plan::build sends every epoch holding one to the scan.
+            Event::AcquireLock(_)
+            | Event::ReleaseLock(_)
+            | Event::PostEvent { .. }
+            | Event::WaitEvent { .. } => unreachable!("sync event outside the scan"),
+        }
     }
 }
 
@@ -320,9 +427,9 @@ impl Coord {
     }
 }
 
-/// Cross-epoch dispatcher tables for sync-ful epochs (mirrors the serial
-/// loop's hoisted state).
-struct Dispatch {
+/// The ordered strategies' tables, allocated once per run and reset per
+/// epoch (stamping replaces per-epoch clears of the post tables).
+struct Sched {
     idx: Vec<usize>,
     blocked_on: Vec<Option<Block>>,
     active: Vec<usize>,
@@ -330,17 +437,21 @@ struct Dispatch {
     posted_at: Vec<Cycle>,
     posted_stamp: Vec<u64>,
     epoch_stamp: u64,
+    /// The heap strategy's ready queue: `(clock, processor, next event)`.
+    heap: BinaryHeap<Reverse<(Cycle, usize, usize)>>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
 enum Block {
+    /// Waiting for this lock id to free.
     Lock(u32),
+    /// Waiting for this dense sync-pair id to be posted.
     Event(usize),
 }
 
-impl Dispatch {
-    fn new(plan: &Plan, procs: usize) -> Dispatch {
-        Dispatch {
+impl Sched {
+    fn new(plan: &Plan, procs: usize) -> Sched {
+        Sched {
             idx: vec![0; procs],
             blocked_on: vec![None; procs],
             active: Vec::with_capacity(procs),
@@ -348,6 +459,7 @@ impl Dispatch {
             posted_at: vec![0; plan.sync_pairs.len()],
             posted_stamp: vec![0; plan.sync_pairs.len()],
             epoch_stamp: 0,
+            heap: BinaryHeap::with_capacity(procs),
         }
     }
 }
@@ -356,103 +468,124 @@ impl Dispatch {
 // Phase functions (shared by the inline and threaded drivers)
 // ---------------------------------------------------------------------------
 
-/// P1 for a sync-free epoch: replay shard `me`'s owned processors flat.
-///
-/// No min-clock scan: within an epoch a shard-safe engine's outcomes do
-/// not depend on other processors' progress, so each stream replays
-/// sequentially. This is the algorithmic win over the serial loop's
-/// `O(P)` scan per event.
-fn replay_flat(
-    trace: &Trace,
-    epoch_idx: usize,
-    t0: Cycle,
-    plan: &Plan,
-    me: usize,
-    st: &mut ShardState,
-) {
+/// P1, flat: replay shard `me`'s owned processors one stream at a time.
+fn replay_flat(trace: &Trace, e: usize, t0: Cycle, plan: &Plan, me: usize, st: &mut ShardState) {
     let start = Instant::now();
-    let epoch = &trace.epochs[epoch_idx];
-    let span = trace.layout.total_words().max(1);
-    for (p, stream) in epoch.per_proc.iter().enumerate() {
-        if plan.owner[p] != me {
-            continue;
-        }
+    let owned = trace.epochs[e].per_proc.iter().enumerate();
+    for (p, stream) in owned.skip(me).step_by(plan.shards) {
         let mut now = t0;
         for ev in stream {
-            let spent = match ev {
-                Event::Compute(c) => Cycle::from(*c),
-                Event::Read {
-                    addr,
-                    kind,
-                    version,
-                } => {
-                    let outcome = st
-                        .engine
-                        .read(ProcId(p as u32), *addr, *kind, *version, now);
-                    if outcome.miss.is_some() {
-                        let folded = tpi_mem::WordAddr(addr.0 % span);
-                        if let Some(id) = trace.layout.array_of(folded) {
-                            st.array_misses[id.0 as usize] += 1;
-                        }
-                    }
-                    outcome.stall
-                }
-                Event::Write { addr, version } => {
-                    st.engine.write(ProcId(p as u32), *addr, *version, now)
-                }
-                Event::CriticalWrite { addr, version } => {
-                    st.engine
-                        .write_critical(ProcId(p as u32), *addr, *version, now)
-                }
-                // Plan::build classified this epoch as sync-free.
-                Event::AcquireLock(_)
-                | Event::ReleaseLock(_)
-                | Event::PostEvent { .. }
-                | Event::WaitEvent { .. } => unreachable!("sync event in sync-free epoch"),
-            };
-            now += spent;
-            st.events += 1;
+            now += st.access(trace, plan, p, ev, now);
         }
+        st.events += stream.len() as u64;
         st.clocks[p] = now;
     }
     st.replay_nanos = st.replay_nanos.saturating_add(elapsed_nanos_since(start));
 }
 
-/// P1 for a sync-ful epoch: one dispatcher replays *all* processors in
-/// the serial min-clock order, routing each engine call to the owner's
-/// replica. Lock and post/wait traffic lands on the owning processor's
-/// shard, so per-class sums match the serial engine's.
-///
-/// Writes the merged clock vector directly into `coord.clocks`.
-#[allow(clippy::too_many_lines)]
-fn dispatch_syncful(
+/// P1 and C1 on the coordinator: merge the flat shards' clocks, or replay
+/// the whole epoch in min-clock order into `coord.clocks`.
+fn replay_ordered(
     trace: &Trace,
-    epoch_idx: usize,
+    e: usize,
     t0: Cycle,
     plan: &Plan,
-    disp: &mut Dispatch,
+    sched: &mut Sched,
     shards: &mut [&mut ShardState],
     coord: &mut Coord,
 ) {
     let start = Instant::now();
-    let epoch = &trace.epochs[epoch_idx];
+    match plan.replay[e] {
+        Replay::Flat => {
+            for (p, c) in coord.clocks.iter_mut().enumerate() {
+                *c = shards[plan.owner[p]].clocks[p];
+            }
+        }
+        // Order-sensitive engines never shard: the heap drives shard 0.
+        Replay::Heap => replay_heap(trace, e, t0, plan, sched, shards[0], &mut coord.clocks),
+        Replay::Scan => replay_scan(trace, e, t0, plan, sched, shards, coord),
+    }
+    shards[0].replay_nanos = shards[0]
+        .replay_nanos
+        .saturating_add(elapsed_nanos_since(start));
+}
+
+/// Heap strategy for a sync-free epoch: the running processor keeps
+/// issuing while its `(clock, index)` stays below the heap's top, then
+/// swaps in for the top. Zero-cycle events and clock ties resolve exactly
+/// as under the scan, because the key order is the scan's order.
+fn replay_heap(
+    trace: &Trace,
+    e: usize,
+    t0: Cycle,
+    plan: &Plan,
+    sched: &mut Sched,
+    st: &mut ShardState,
+    clocks: &mut [Cycle],
+) {
+    let epoch = &trace.epochs[e];
+    clocks.fill(t0);
+    let heap = &mut sched.heap;
+    heap.clear();
+    for (p, stream) in epoch.per_proc.iter().enumerate() {
+        if !stream.is_empty() {
+            heap.push(Reverse((t0, p, 0)));
+        }
+    }
+    let mut running = heap.pop();
+    while let Some(Reverse((mut now, p, mut i))) = running {
+        let stream = &epoch.per_proc[p];
+        running = loop {
+            now += st.access(trace, plan, p, &stream[i], now);
+            i += 1;
+            st.events += 1;
+            if i == stream.len() {
+                clocks[p] = now;
+                break heap.pop();
+            }
+            if let Some(mut top) = heap.peek_mut() {
+                let Reverse((c, q, _)) = *top;
+                if (c, q) < (now, p) {
+                    break Some(std::mem::replace(&mut *top, Reverse((now, p, i))));
+                }
+            }
+        };
+    }
+}
+
+/// Scan strategy: per event, the eligible active processor with the
+/// smallest `(clock, index)` issues. A processor blocked on a held lock or
+/// an unposted event is ineligible until the holder releases or the post
+/// lands, and resumes no earlier than that instant. Lock and post/wait
+/// traffic lands on the issuing processor's shard, so per-class sums
+/// match the one-engine run.
+fn replay_scan(
+    trace: &Trace,
+    e: usize,
+    t0: Cycle,
+    plan: &Plan,
+    sched: &mut Sched,
+    shards: &mut [&mut ShardState],
+    coord: &mut Coord,
+) {
+    let epoch = &trace.epochs[e];
     let procs = epoch.per_proc.len();
-    let span = trace.layout.total_words().max(1);
-    disp.epoch_stamp += 1;
-    let stamp = disp.epoch_stamp;
+    sched.epoch_stamp += 1;
+    let stamp = sched.epoch_stamp;
     coord.clocks.fill(t0);
-    disp.idx.fill(0);
-    disp.blocked_on.fill(None);
-    disp.lock_holder.fill(None);
-    disp.active.clear();
-    disp.active
+    sched.idx.fill(0);
+    sched.blocked_on.fill(None);
+    sched.lock_holder.fill(None);
+    sched.active.clear();
+    sched
+        .active
         .extend((0..procs).filter(|&p| !epoch.per_proc[p].is_empty()));
     loop {
         let mut next: Option<usize> = None;
-        for &p in &disp.active {
-            let eligible = match disp.blocked_on[p] {
-                Some(Block::Lock(l)) => disp.lock_holder[l as usize].is_none(),
-                Some(Block::Event(id)) => disp.posted_stamp[id] == stamp,
+        for &p in &sched.active {
+            let eligible = match sched.blocked_on[p] {
+                Some(Block::Lock(l)) => sched.lock_holder[l as usize].is_none(),
+                Some(Block::Event(id)) => sched.posted_stamp[id] == stamp,
                 None => true,
             };
             if eligible && next.is_none_or(|q: usize| (coord.clocks[p], p) < (coord.clocks[q], q)) {
@@ -461,122 +594,78 @@ fn dispatch_syncful(
         }
         let Some(p) = next else {
             assert!(
-                disp.active.is_empty(),
+                sched.active.is_empty(),
                 "lock deadlock: events remain but every processor is blocked"
             );
             break;
         };
-        let sh = plan.owner[p];
-        let ev = &epoch.per_proc[p][disp.idx[p]];
+        let st = &mut *shards[plan.owner[p]];
+        let ev = &epoch.per_proc[p][sched.idx[p]];
         let now = coord.clocks[p];
         let spent = match ev {
-            Event::Compute(c) => Cycle::from(*c),
-            Event::Read {
-                addr,
-                kind,
-                version,
-            } => {
-                let outcome = shards[sh]
-                    .engine
-                    .read(ProcId(p as u32), *addr, *kind, *version, now);
-                if outcome.miss.is_some() {
-                    let folded = tpi_mem::WordAddr(addr.0 % span);
-                    if let Some(id) = trace.layout.array_of(folded) {
-                        shards[sh].array_misses[id.0 as usize] += 1;
-                    }
-                }
-                outcome.stall
-            }
-            Event::Write { addr, version } => {
-                shards[sh]
-                    .engine
-                    .write(ProcId(p as u32), *addr, *version, now)
-            }
-            Event::CriticalWrite { addr, version } => {
-                shards[sh]
-                    .engine
-                    .write_critical(ProcId(p as u32), *addr, *version, now)
-            }
             Event::AcquireLock(l) => {
-                if disp.lock_holder[*l as usize].is_some() {
-                    disp.blocked_on[p] = Some(Block::Lock(*l));
+                if sched.lock_holder[*l as usize].is_some() {
+                    // Stay blocked; retry once the holder releases.
+                    sched.blocked_on[p] = Some(Block::Lock(*l));
                     continue;
                 }
-                disp.blocked_on[p] = None;
-                disp.lock_holder[*l as usize] = Some(p);
+                sched.blocked_on[p] = None;
+                sched.lock_holder[*l as usize] = Some(p);
                 coord.lock_acquires += 1;
-                shards[sh]
-                    .engine
-                    .network_mut()
-                    .record(TrafficClass::Coherence, 1);
-                shards[sh].engine.network().word_fetch()
+                // The acquire itself is an atomic read-modify-write at
+                // the lock's home memory module.
+                st.engine.network_mut().record(TrafficClass::Coherence, 1);
+                st.engine.network().word_fetch()
             }
             Event::ReleaseLock(l) => {
-                let holder = disp.lock_holder[*l as usize].take();
+                let holder = sched.lock_holder[*l as usize].take();
                 debug_assert_eq!(holder, Some(p), "release by non-holder");
                 for q in 0..procs {
-                    if disp.blocked_on[q] == Some(Block::Lock(*l)) && coord.clocks[q] < now {
+                    if sched.blocked_on[q] == Some(Block::Lock(*l)) && coord.clocks[q] < now {
                         coord.lock_wait_cycles += now - coord.clocks[q];
                         coord.clocks[q] = now;
                     }
                 }
-                shards[sh]
-                    .engine
-                    .network_mut()
-                    .record(TrafficClass::Coherence, 1);
+                st.engine.network_mut().record(TrafficClass::Coherence, 1);
                 1
             }
             Event::PostEvent { event, index } => {
+                // The post is a release fence + a flag write at the
+                // event's home node.
                 let id = plan.sync_id(*event, *index);
-                disp.posted_at[id] = now;
-                disp.posted_stamp[id] = stamp;
+                sched.posted_at[id] = now;
+                sched.posted_stamp[id] = stamp;
                 for q in 0..procs {
-                    if disp.blocked_on[q] == Some(Block::Event(id)) && coord.clocks[q] < now {
+                    if sched.blocked_on[q] == Some(Block::Event(id)) && coord.clocks[q] < now {
                         coord.lock_wait_cycles += now - coord.clocks[q];
                         coord.clocks[q] = now;
                     }
                 }
-                shards[sh]
-                    .engine
-                    .network_mut()
-                    .record(TrafficClass::Coherence, 1);
+                st.engine.network_mut().record(TrafficClass::Coherence, 1);
                 1
             }
             Event::WaitEvent { event, index } => {
                 let id = plan.sync_id(*event, *index);
-                if disp.posted_stamp[id] == stamp {
-                    let t = disp.posted_at[id];
-                    disp.blocked_on[p] = None;
-                    shards[sh]
-                        .engine
-                        .network_mut()
-                        .record(TrafficClass::Coherence, 0);
-                    let stall = now.max(t).saturating_sub(now) + 1;
-                    coord.lock_wait_cycles += stall - 1;
-                    stall
-                } else {
-                    disp.blocked_on[p] = Some(Block::Event(id));
+                if sched.posted_stamp[id] != stamp {
+                    sched.blocked_on[p] = Some(Block::Event(id));
                     continue;
                 }
+                let t = sched.posted_at[id];
+                sched.blocked_on[p] = None;
+                // Poll of the flag at the event's home node.
+                st.engine.network_mut().record(TrafficClass::Coherence, 0);
+                let stall = now.max(t).saturating_sub(now) + 1;
+                coord.lock_wait_cycles += stall - 1;
+                stall
             }
+            _ => st.access(trace, plan, p, ev, now),
         };
-        disp.idx[p] += 1;
+        sched.idx[p] += 1;
         coord.clocks[p] += spent;
-        shards[sh].events += 1;
-        if disp.idx[p] == epoch.per_proc[p].len() {
-            disp.active.retain(|&q| q != p);
+        st.events += 1;
+        if sched.idx[p] == epoch.per_proc[p].len() {
+            sched.active.retain(|&q| q != p);
         }
-    }
-    shards[0].replay_nanos = shards[0]
-        .replay_nanos
-        .saturating_add(elapsed_nanos_since(start));
-}
-
-/// C1: assemble the full end-of-epoch clock vector by owner-select (the
-/// dispatcher already wrote it for sync-ful epochs).
-fn merge_clocks(plan: &Plan, states: &[&mut ShardState], coord: &mut Coord) {
-    for (p, c) in coord.clocks.iter_mut().enumerate() {
-        *c = states[plan.owner[p]].clocks[p];
     }
 }
 
@@ -595,10 +684,11 @@ fn boundary_phase(plan: &Plan, me: usize, clocks: &[Cycle], st: &mut ShardState)
 }
 
 /// C2: fold the shards' boundary outputs into the epoch's global
-/// accounting, exactly as the serial loop does.
+/// accounting: the epoch ends when the slowest processor clears the
+/// barrier, plus the loop setup charge.
 fn coordinate_epoch(
     trace: &Trace,
-    epoch_idx: usize,
+    e: usize,
     t0: Cycle,
     opts: &SimOptions,
     plan: &Plan,
@@ -619,11 +709,11 @@ fn coordinate_epoch(
     }
     coord.total_words = states.iter().map(|st| st.words).sum();
     coord.updates.clear();
-    for st in states.iter() {
+    for st in states {
         coord.updates.extend_from_slice(&st.updates);
     }
     coord.profile.push(EpochProfile {
-        epoch: trace.epochs[epoch_idx].epoch.0,
+        epoch: trace.epochs[e].epoch.0,
         cycles: coord.elapsed,
         misses: states.iter().map(|st| st.miss_delta).sum(),
     });
@@ -633,7 +723,7 @@ fn coordinate_epoch(
 /// P3: bring shard `me` up to date with the merged boundary — apply every
 /// shard's version commits (max-merge; reapplying its own is a no-op) and
 /// refresh the network load factor from the *total* traffic, so all
-/// replicas compute the identical `rho` the serial engine would.
+/// replicas compute the identical `rho` one engine would.
 fn finish_phase(st: &mut ShardState, updates: &[(u64, u64)], total_words: u64, elapsed: Cycle) {
     st.engine.apply_version_updates(updates);
     st.engine.network_mut().end_epoch_as(total_words, elapsed);
@@ -643,9 +733,9 @@ fn finish_phase(st: &mut ShardState, updates: &[(u64, u64)], total_words: u64, e
 // Drivers
 // ---------------------------------------------------------------------------
 
-/// Sequential driver: one thread walks every phase of every shard. On a
-/// single-core host this is the fastest execution and shares all phase
-/// code with the threaded driver.
+/// Sequential driver: one thread walks every phase of every shard. It is
+/// the only driver of one-shard runs, and shares all phase code with the
+/// threaded driver.
 fn run_inline(
     trace: &Trace,
     opts: &SimOptions,
@@ -653,33 +743,30 @@ fn run_inline(
     states: &mut [ShardState],
     coord: &mut Coord,
 ) {
-    let procs = trace.num_procs as usize;
-    let mut disp = Dispatch::new(plan, procs);
+    let mut sched = Sched::new(plan, trace.num_procs as usize);
+    let mut shards: Vec<&mut ShardState> = states.iter_mut().collect();
     for e in 0..trace.epochs.len() {
         let t0 = coord.global;
-        let mut refs: Vec<&mut ShardState> = states.iter_mut().collect();
-        if plan.sync_free[e] {
-            for (me, st) in refs.iter_mut().enumerate() {
+        if plan.replay[e] == Replay::Flat {
+            for (me, st) in shards.iter_mut().enumerate() {
                 replay_flat(trace, e, t0, plan, me, st);
             }
-            merge_clocks(plan, &refs, coord);
-        } else {
-            dispatch_syncful(trace, e, t0, plan, &mut disp, &mut refs, coord);
         }
-        for (me, st) in refs.iter_mut().enumerate() {
+        replay_ordered(trace, e, t0, plan, &mut sched, &mut shards, coord);
+        for (me, st) in shards.iter_mut().enumerate() {
             boundary_phase(plan, me, &coord.clocks, st);
         }
-        coordinate_epoch(trace, e, t0, opts, plan, &refs, coord);
-        for st in refs.iter_mut() {
+        coordinate_epoch(trace, e, t0, opts, plan, &shards, coord);
+        for st in &mut shards {
             finish_phase(st, &coord.updates, coord.total_words, coord.elapsed);
         }
     }
 }
 
 /// Threaded driver: one OS thread per shard, phases separated by
-/// barriers. Thread 0 doubles as the coordinator (and as the dispatcher
-/// for sync-ful epochs), locking every shard's state while the other
-/// threads park at the next barrier.
+/// barriers. Thread 0 doubles as the coordinator (and replays ordered
+/// epochs), locking every shard's state while the other threads park at
+/// the next barrier.
 fn run_threaded(
     trace: &Trace,
     opts: &SimOptions,
@@ -698,38 +785,25 @@ fn run_threaded(
             let coord_cell = &coord_cell;
             let barrier = &barrier;
             scope.spawn(move || {
-                // Dispatcher tables live on (and are only touched by)
+                // Ordered-replay tables live on (and are only touched by)
                 // thread 0.
-                let mut disp = (t == 0).then(|| Dispatch::new(plan, procs));
+                let mut sched = (t == 0).then(|| Sched::new(plan, procs));
                 for e in 0..trace.epochs.len() {
-                    // P1: flat replay of owned processors (sync-free
-                    // epochs only; the dispatcher handles the rest below).
-                    if plan.sync_free[e] {
+                    // P1: flat replay of owned processors.
+                    if plan.replay[e] == Replay::Flat {
                         let t0 = coord_cell.lock().unwrap().global;
                         let mut st = shared[t].lock().unwrap();
                         replay_flat(trace, e, t0, plan, t, &mut st);
                     }
                     barrier.wait();
-                    // C1 (+ sync-ful P1): thread 0 takes every shard.
-                    if t == 0 {
+                    // C1 (+ ordered P1): thread 0 takes every shard.
+                    if let Some(sched) = sched.as_mut() {
                         let mut coord = coord_cell.lock().unwrap();
                         let mut guards: Vec<_> = shared.iter().map(|m| m.lock().unwrap()).collect();
                         let mut refs: Vec<&mut ShardState> =
                             guards.iter_mut().map(|g| &mut ***g).collect();
-                        if plan.sync_free[e] {
-                            merge_clocks(plan, &refs, &mut coord);
-                        } else {
-                            let t0 = coord.global;
-                            dispatch_syncful(
-                                trace,
-                                e,
-                                t0,
-                                plan,
-                                disp.as_mut().expect("thread 0 owns the dispatcher"),
-                                &mut refs,
-                                &mut coord,
-                            );
-                        }
+                        let t0 = coord.global;
+                        replay_ordered(trace, e, t0, plan, sched, &mut refs, &mut coord);
                     }
                     barrier.wait();
                     // P2: every shard runs its boundary with the merged
@@ -775,7 +849,7 @@ fn run_threaded(
 /// Folds the shards into one [`SimResult`]: per-processor counters by
 /// owner-select, commutative accumulators by summation, global timing
 /// from the coordinator.
-fn merge_result(trace: &Trace, plan: &Plan, states: Vec<ShardState>, coord: Coord) -> SimResult {
+fn merge_result(trace: &Trace, plan: &Plan, states: &[ShardState], coord: Coord) -> SimResult {
     let procs = trace.num_procs as usize;
     let per_proc: Vec<tpi_proto::ProcStats> = (0..procs)
         .map(|p| states[plan.owner[p]].engine.stats().per_proc()[p])
@@ -785,7 +859,7 @@ fn merge_result(trace: &Trace, plan: &Plan, states: Vec<ShardState>, coord: Coor
         agg.merge(s);
     }
     let mut traffic = tpi_net::TrafficStats::default();
-    for st in &states {
+    for st in states {
         traffic.merge(st.engine.network().stats());
     }
     let wbuffer = states
@@ -805,7 +879,7 @@ fn merge_result(trace: &Trace, plan: &Plan, states: Vec<ShardState>, coord: Coor
         })
         .flatten();
     let mut array_misses = vec![0u64; trace.layout.decls().len()];
-    for st in &states {
+    for st in states {
         for (dst, src) in array_misses.iter_mut().zip(&st.array_misses) {
             *dst += src;
         }
@@ -836,175 +910,5 @@ fn merge_result(trace: &Trace, plan: &Plan, states: Vec<ShardState>, coord: Coor
             events: states.iter().map(|st| st.events).sum(),
             ops,
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tpi_compiler::{mark_program, CompilerOptions};
-    use tpi_ir::{subs, Cond, ProgramBuilder};
-    use tpi_trace::{generate_trace, TraceOptions};
-
-    fn producer_consumer_trace() -> Trace {
-        let mut p = ProgramBuilder::new();
-        let a = p.shared("A", [256]);
-        let b = p.shared("B", [256]);
-        let main = p.proc("main", |f| {
-            f.doall(0, 255, |i, f| f.store(a.at(subs![i]), vec![], 2));
-            f.doall(0, 255, |i, f| {
-                f.store(b.at(subs![i]), vec![a.at(subs![i])], 2)
-            });
-        });
-        let prog = p.finish(main).unwrap();
-        let marking = mark_program(&prog, &CompilerOptions::default());
-        generate_trace(&prog, &marking, &TraceOptions::default()).unwrap()
-    }
-
-    /// Locks (critical accumulation) plus a doacross pipeline: every
-    /// dispatcher arm — acquire/release, post/wait, critical writes —
-    /// appears in some epoch.
-    fn syncful_trace() -> Trace {
-        let mut p = ProgramBuilder::new();
-        let a = p.shared("A", [64]);
-        let acc = p.shared("ACC", [4]);
-        let lock = p.lock();
-        let ev = p.event();
-        let main = p.proc("main", |f| {
-            f.doall(0, 63, |i, f| f.store(a.at(subs![i]), vec![], 2));
-            f.doall(0, 63, |i, f| {
-                f.critical(lock, |f| {
-                    f.store(acc.at(subs![0]), vec![acc.at(subs![0]), a.at(subs![i])], 3);
-                });
-            });
-            f.doall(0, 15, |i, f| {
-                f.if_else(
-                    // True only at i == 0: the pipeline head has no
-                    // predecessor to wait on.
-                    Cond::EveryN {
-                        var: i,
-                        modulus: i64::MAX,
-                        phase: 0,
-                    },
-                    |f| {
-                        f.store(a.at(subs![i]), vec![a.at(subs![i])], 2);
-                    },
-                    |f| {
-                        f.wait(ev, i - 1);
-                        f.store(a.at(subs![i]), vec![a.at(subs![i - 1]), a.at(subs![i])], 2);
-                    },
-                );
-                f.post(ev, i);
-            });
-        });
-        let prog = p.finish(main).unwrap();
-        let marking = mark_program(&prog, &CompilerOptions::default());
-        generate_trace(&prog, &marking, &TraceOptions::default()).unwrap()
-    }
-
-    fn strip_host(mut r: SimResult) -> SimResult {
-        r.host = SimHostProfile::default();
-        r
-    }
-
-    fn serial(scheme: SchemeId, trace: &Trace) -> SimResult {
-        let cfg = EngineConfig::paper_default(trace.layout.total_words());
-        let mut engine = build_engine(scheme, cfg);
-        strip_host(run_trace(trace, engine.as_mut(), &SimOptions::default()))
-    }
-
-    fn sharded(scheme: SchemeId, trace: &Trace, shards: usize, exec: ShardExec) -> SimResult {
-        let cfg = EngineConfig::paper_default(trace.layout.total_words());
-        let so = ShardOptions { shards, exec };
-        strip_host(run_trace_sharded(
-            trace,
-            scheme,
-            &cfg,
-            &SimOptions::default(),
-            &so,
-        ))
-    }
-
-    fn assert_equivalent(a: &SimResult, b: &SimResult) {
-        assert_eq!(a.scheme, b.scheme);
-        assert_eq!(a.total_cycles, b.total_cycles);
-        assert_eq!(a.busy_cycles, b.busy_cycles);
-        assert_eq!(a.agg, b.agg);
-        assert_eq!(a.per_proc, b.per_proc);
-        assert_eq!(a.traffic, b.traffic);
-        assert_eq!(a.wbuffer, b.wbuffer);
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.lock_acquires, b.lock_acquires);
-        assert_eq!(a.lock_wait_cycles, b.lock_wait_cycles);
-        assert_eq!(a.profile, b.profile);
-        assert_eq!(a.miss_by_array, b.miss_by_array);
-        assert_eq!(a.host.events, b.host.events);
-        assert_eq!(a.host.ops, b.host.ops);
-    }
-
-    #[test]
-    fn sharded_tpi_matches_serial_inline() {
-        let trace = producer_consumer_trace();
-        let want = serial(SchemeId::TPI, &trace);
-        for shards in [2, 3, 16] {
-            let got = sharded(SchemeId::TPI, &trace, shards, ShardExec::Inline);
-            assert_equivalent(&got, &want);
-        }
-    }
-
-    #[test]
-    fn sharded_tpi_matches_serial_threaded() {
-        let trace = producer_consumer_trace();
-        let want = serial(SchemeId::TPI, &trace);
-        let got = sharded(SchemeId::TPI, &trace, 4, ShardExec::Threads);
-        assert_equivalent(&got, &want);
-    }
-
-    #[test]
-    fn sharded_sc_and_base_match_serial() {
-        let trace = producer_consumer_trace();
-        for scheme in [SchemeId::SC, SchemeId::BASE, SchemeId::IDEAL] {
-            let want = serial(scheme, &trace);
-            let got = sharded(scheme, &trace, 4, ShardExec::Inline);
-            assert_equivalent(&got, &want);
-        }
-    }
-
-    #[test]
-    fn order_sensitive_schemes_fall_back_to_serial() {
-        let trace = producer_consumer_trace();
-        for scheme in [SchemeId::FULL_MAP, SchemeId::TARDIS] {
-            let want = serial(scheme, &trace);
-            let got = sharded(scheme, &trace, 8, ShardExec::Auto);
-            assert_equivalent(&got, &want);
-        }
-    }
-
-    #[test]
-    fn syncful_epochs_match_serial_on_both_drivers() {
-        let trace = syncful_trace();
-        for scheme in [SchemeId::TPI, SchemeId::SC] {
-            let want = serial(scheme, &trace);
-            for exec in [ShardExec::Inline, ShardExec::Threads] {
-                let got = sharded(scheme, &trace, 4, exec);
-                assert_equivalent(&got, &want);
-            }
-        }
-    }
-
-    #[test]
-    fn one_shard_is_the_serial_path() {
-        let trace = producer_consumer_trace();
-        let want = serial(SchemeId::TPI, &trace);
-        let got = sharded(SchemeId::TPI, &trace, 1, ShardExec::Auto);
-        assert_equivalent(&got, &want);
-    }
-
-    #[test]
-    fn shard_count_exceeding_procs_is_clamped() {
-        let trace = producer_consumer_trace();
-        let want = serial(SchemeId::TPI, &trace);
-        let got = sharded(SchemeId::TPI, &trace, 1000, ShardExec::Inline);
-        assert_equivalent(&got, &want);
     }
 }
