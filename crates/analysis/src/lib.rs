@@ -68,8 +68,6 @@ pub mod model;
 pub mod oracle;
 pub mod passes;
 
-// The shared CLI module moved to the facade crate (`tpi::cli`) so the
-// serve-side binaries can use it too; this alias keeps old paths alive.
 pub use diag::{diagnostics_json, Code, Diagnostic, Severity};
 pub use differential::{
     check_all_kernels, check_freshness, check_sources, total_freshness_violations,
@@ -80,5 +78,3 @@ pub use model::{
 };
 pub use oracle::{check_trace, OracleMode, OracleReport, OracleStats, Violation};
 pub use passes::{lint_program, LintContext, LintOptions, LintPass, PassRegistry};
-pub use tpi::cli;
-pub use tpi::cli::CliError;

@@ -19,7 +19,7 @@ pub fn run(kernel: Kernel, scale: Scale, cfg: &ExperimentConfig) -> ExperimentRe
 
 /// The paper configuration with the scheme swapped.
 #[must_use]
-pub fn cfg_for(scheme: impl Into<SchemeId>) -> ExperimentConfig {
+pub fn cfg_for(scheme: SchemeId) -> ExperimentConfig {
     ExperimentConfig::builder()
         .scheme(scheme)
         .build()

@@ -294,10 +294,9 @@ macro_rules! setters {
 }
 
 impl ConfigBuilder {
-    /// Coherence scheme under test: anything convertible into a registry
-    /// [`SchemeId`].
-    pub fn scheme(mut self, scheme: impl Into<SchemeId>) -> Self {
-        self.cfg.scheme = scheme.into();
+    /// Coherence scheme under test, by registry [`SchemeId`].
+    pub fn scheme(mut self, scheme: SchemeId) -> Self {
+        self.cfg.scheme = scheme;
         self
     }
 

@@ -990,20 +990,19 @@ impl<'r> GridBuilder<'r> {
         self
     }
 
-    /// Adds schemes to cross with every kernel and variant — anything
-    /// convertible into registry [`SchemeId`]s (e.g.
+    /// Adds schemes to cross with every kernel and variant (e.g.
     /// `registry::global().main_schemes()`). Without any, the base
     /// configuration's scheme runs alone.
     #[must_use]
-    pub fn schemes<S: Into<SchemeId>>(mut self, schemes: impl IntoIterator<Item = S>) -> Self {
-        self.schemes.extend(schemes.into_iter().map(Into::into));
+    pub fn schemes(mut self, schemes: impl IntoIterator<Item = SchemeId>) -> Self {
+        self.schemes.extend(schemes);
         self
     }
 
     /// Adds one scheme.
     #[must_use]
-    pub fn scheme(self, scheme: impl Into<SchemeId>) -> Self {
-        self.schemes([scheme.into()])
+    pub fn scheme(self, scheme: SchemeId) -> Self {
+        self.schemes([scheme])
     }
 
     /// Sweeps a parameter: one variant per value, applied via `apply`.
@@ -1110,13 +1109,7 @@ impl GridResult {
     ///
     /// Panics if the coordinates were not part of the grid.
     #[must_use]
-    pub fn at(
-        &self,
-        kernel: Kernel,
-        scheme: impl Into<SchemeId>,
-        variant: usize,
-    ) -> &ExperimentResult {
-        let scheme = scheme.into();
+    pub fn at(&self, kernel: Kernel, scheme: SchemeId, variant: usize) -> &ExperimentResult {
         let si = self
             .schemes
             .iter()
@@ -1133,7 +1126,7 @@ impl GridResult {
 
     /// The result for `(kernel, scheme)` (single-variant grids).
     #[must_use]
-    pub fn get(&self, kernel: Kernel, scheme: impl Into<SchemeId>) -> &ExperimentResult {
+    pub fn get(&self, kernel: Kernel, scheme: SchemeId) -> &ExperimentResult {
         self.at(kernel, scheme, 0)
     }
 
@@ -1144,13 +1137,7 @@ impl GridResult {
     ///
     /// Panics if the coordinates were not part of the grid.
     #[must_use]
-    pub fn at_program(
-        &self,
-        name: &str,
-        scheme: impl Into<SchemeId>,
-        variant: usize,
-    ) -> &ExperimentResult {
-        let scheme = scheme.into();
+    pub fn at_program(&self, name: &str, scheme: SchemeId, variant: usize) -> &ExperimentResult {
         let si = self
             .schemes
             .iter()

@@ -61,62 +61,6 @@ use tpi_cache::{CacheConfig, ResetStrategy, WriteBufferKind, WritePolicy};
 use tpi_mem::{Cycle, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, NetworkConfig};
 
-/// Which built-in coherence scheme to build.
-///
-/// **Deprecated alias**: new code should use [`SchemeId`] and the
-/// [`registry`] — this closed enum only names the original six built-ins
-/// and exists so that pre-registry configs and call sites keep working.
-/// Every `SchemeKind` converts losslessly into a [`SchemeId`]
-/// (`SchemeKind::Tpi.into()`), and the two compare equal across types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[deprecated(note = "use SchemeId and the scheme registry instead")]
-pub enum SchemeKind {
-    /// No caching of shared data.
-    Base,
-    /// Software cache-bypass.
-    Sc,
-    /// Two-phase invalidation (the paper's scheme).
-    Tpi,
-    /// Full-map directory, write-back MSI.
-    FullMap,
-    /// LimitLess directory with the configured number of pointers.
-    LimitLess,
-    /// Perfect-coherence oracle (lower bound; not a scheme from the
-    /// paper).
-    Ideal,
-}
-
-#[allow(deprecated)]
-impl SchemeKind {
-    /// The four schemes of the paper's main evaluation.
-    pub const MAIN: [SchemeKind; 4] = [
-        SchemeKind::Base,
-        SchemeKind::Sc,
-        SchemeKind::Tpi,
-        SchemeKind::FullMap,
-    ];
-
-    /// Short table label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SchemeKind::Base => "BASE",
-            SchemeKind::Sc => "SC",
-            SchemeKind::Tpi => "TPI",
-            SchemeKind::FullMap => "HW",
-            SchemeKind::LimitLess => "LL",
-            SchemeKind::Ideal => "IDEAL",
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Display for SchemeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Everything needed to instantiate an engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -408,9 +352,6 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
 
 /// Builds the engine for `scheme` through the global [`registry`].
 ///
-/// Accepts anything convertible to a [`SchemeId`] — the id itself or a
-/// legacy [`SchemeKind`].
-///
 /// # Panics
 ///
 /// Panics if `scheme` is not registered; resolve user input through
@@ -430,9 +371,8 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
 /// assert!(hit.miss.is_none());
 /// ```
 #[must_use]
-pub fn build_engine(scheme: impl Into<SchemeId>, cfg: EngineConfig) -> Box<dyn CoherenceEngine> {
-    let id = scheme.into();
-    match registry::global().get(id) {
+pub fn build_engine(scheme: SchemeId, cfg: EngineConfig) -> Box<dyn CoherenceEngine> {
+    match registry::global().get(scheme) {
         Ok(s) => s.build(cfg),
         Err(e) => panic!("build_engine: {e}"),
     }
@@ -441,14 +381,6 @@ pub fn build_engine(scheme: impl Into<SchemeId>, cfg: EngineConfig) -> Box<dyn C
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn labels() {
-        assert_eq!(SchemeKind::Tpi.to_string(), "TPI");
-        assert_eq!(SchemeKind::FullMap.label(), "HW");
-        assert_eq!(SchemeKind::MAIN.len(), 4);
-    }
 
     #[test]
     fn config_shared_test() {
@@ -466,13 +398,6 @@ mod tests {
             assert!(!e.name().is_empty());
             assert_eq!(e.stats().per_proc().len(), 16);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn build_engine_accepts_legacy_kind() {
-        let e = build_engine(SchemeKind::FullMap, EngineConfig::paper_default(1024));
-        assert_eq!(e.name(), "HW");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Pluggable scheme registry: the open-ended successor to the closed
-//! [`crate::SchemeKind`] enum.
+//! Pluggable scheme registry: every coherence scheme, by name.
 //!
 //! A coherence protocol plugs into the study by implementing the
 //! [`Scheme`] trait — a stable [`SchemeId`], a table label, a storage-cost
@@ -29,9 +28,8 @@ use crate::{
 /// Stable identifier of a registered scheme (lower-case, e.g. `"tpi"`).
 ///
 /// `SchemeId` is a `Copy` newtype over the scheme's interned id string, so
-/// it can sit in `Copy + Hash` config and cache-key structs exactly like
-/// the old [`crate::SchemeKind`] enum did. Equality and hashing are by id
-/// content.
+/// it can sit in `Copy + Hash` config and cache-key structs. Equality and
+/// hashing are by id content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemeId(&'static str);
 
@@ -80,41 +78,6 @@ impl SchemeId {
 impl std::fmt::Display for SchemeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Conversions bridging the deprecated [`crate::SchemeKind`] enum into
-/// registry ids. Confined to this module so the `#[allow(deprecated)]`
-/// fence covers only the bridge (and the alias definition itself).
-mod kind_bridge {
-    #![allow(deprecated)]
-
-    use super::SchemeId;
-    use crate::SchemeKind;
-
-    impl From<SchemeKind> for SchemeId {
-        fn from(kind: SchemeKind) -> SchemeId {
-            match kind {
-                SchemeKind::Base => SchemeId::BASE,
-                SchemeKind::Sc => SchemeId::SC,
-                SchemeKind::Tpi => SchemeId::TPI,
-                SchemeKind::FullMap => SchemeId::FULL_MAP,
-                SchemeKind::LimitLess => SchemeId::LIMITLESS,
-                SchemeKind::Ideal => SchemeId::IDEAL,
-            }
-        }
-    }
-
-    impl PartialEq<SchemeKind> for SchemeId {
-        fn eq(&self, other: &SchemeKind) -> bool {
-            *self == SchemeId::from(*other)
-        }
-    }
-
-    impl PartialEq<SchemeId> for SchemeKind {
-        fn eq(&self, other: &SchemeId) -> bool {
-            SchemeId::from(*self) == *other
-        }
     }
 }
 
@@ -535,12 +498,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn scheme_id_interops_with_scheme_kind() {
-        use crate::SchemeKind;
-        assert_eq!(SchemeId::from(SchemeKind::FullMap), SchemeId::FULL_MAP);
-        assert!(SchemeId::TPI == SchemeKind::Tpi);
-        assert!(SchemeKind::LimitLess == SchemeId::LIMITLESS);
+    fn scheme_ids_are_distinct_and_resolve_labels() {
         assert_ne!(SchemeId::TARDIS, SchemeId::HYBRID);
         assert_eq!(SchemeId::TARDIS.as_str(), "tardis");
         assert_eq!(SchemeId::TARDIS.label(), "TARDIS");

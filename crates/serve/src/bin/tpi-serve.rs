@@ -29,8 +29,7 @@ use tpi_serve::server::{ServeConfig, Server};
 use tpi_serve::FaultPlan;
 
 const USAGE: &str = "usage: tpi-serve [--addr HOST:PORT] [--workers N] [--queue N] \
-     [--timeout-ms N] [--slow-cell-ms N] [--cache-dir DIR] [--memory-cells N] \
-     [--faults SPEC]";
+     [--timeout-ms N] [--cache-dir DIR] [--memory-cells N] [--faults SPEC]";
 
 fn parse_args(args: &[String]) -> Result<Option<ServeConfig>, CliError> {
     let mut config = ServeConfig::default();
@@ -53,10 +52,6 @@ fn parse_args(args: &[String]) -> Result<Option<ServeConfig>, CliError> {
             "--timeout-ms" => {
                 config.request_timeout =
                     Duration::from_millis(parse_bounded(flag, value, 1, 86_400_000)?);
-            }
-            "--slow-cell-ms" => {
-                // Debug/test hook: artificial per-cell latency.
-                config.cell_delay = Duration::from_millis(parse_bounded(flag, value, 0, 60_000)?);
             }
             "--cache-dir" => {
                 // Crash-safe persistent result cache (see DESIGN.md,

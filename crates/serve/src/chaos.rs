@@ -281,7 +281,6 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
         workers: config.workers,
         queue_cap: config.queue_cap,
         request_timeout: Duration::from_secs(10),
-        cell_delay: Duration::ZERO,
         fault: Some(Arc::clone(&plan)),
         ..ServeConfig::default()
     })

@@ -33,8 +33,16 @@
 //! fronts N replicas with consistent hashing, health leases, failover,
 //! and fleet-wide single-flight — `tpi-chaos --router` SIGKILLs a real
 //! replica mid-burst and asserts zero failed client requests plus a
-//! warm restart from its disk cache. See `DESIGN.md` ("The experiment
-//! service", "Replication and persistence") for the architecture.
+//! warm restart from its disk cache.
+//!
+//! The replica ([`server`]) and the router ([`router`]) run on one HTTP
+//! skeleton, a crate-private `service` module: bind and accept, the
+//! keep-alive connection loop, shutdown and drain, and the routes both
+//! answer alike (discovery, `/admin/shutdown`, 404/405). Each adds a
+//! handler for its own experiments, health and metrics routes, and both
+//! single-flight tables hold one [`pool::FlightSlot`] type. See
+//! `DESIGN.md` ("The experiment service", "Replication and persistence")
+//! for the architecture.
 //!
 //! # Quickstart
 //!
@@ -67,6 +75,7 @@ pub mod metrics;
 pub mod pool;
 pub mod router;
 pub mod server;
+mod service;
 pub mod wire;
 
 pub use disk::{DiskCache, RecoveryReport};

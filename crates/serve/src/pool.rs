@@ -36,7 +36,7 @@ use crate::wire::{render_cell, CellKey};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tpi::{catch_cell_panic, lock_unpoisoned, Runner};
 
 /// Why a cell failed.
@@ -94,37 +94,39 @@ pub type CellOutcome = Result<CellValue, CellError>;
 
 use tpi::ExperimentResult;
 
-/// A slot that one leader fills and any number of waiters block on.
+/// A slot that one leader fills and any number of waiters block on:
+/// the value type of both single-flight tables, the replica's
+/// [`CellStore`] (`V` = [`CellOutcome`]) and the router's.
 #[derive(Debug)]
-pub struct FlightSlot {
-    state: Mutex<Option<Arc<CellOutcome>>>,
+pub struct FlightSlot<V> {
+    state: Mutex<Option<Arc<V>>>,
     cond: Condvar,
 }
 
-impl FlightSlot {
-    fn new() -> Arc<FlightSlot> {
+impl<V> FlightSlot<V> {
+    pub(crate) fn new() -> Arc<FlightSlot<V>> {
         Arc::new(FlightSlot {
             state: Mutex::new(None),
             cond: Condvar::new(),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, Option<Arc<CellOutcome>>> {
+    fn lock(&self) -> MutexGuard<'_, Option<Arc<V>>> {
         lock_unpoisoned(&self.state)
     }
 
-    fn complete(&self, outcome: Arc<CellOutcome>) {
-        *self.lock() = Some(outcome);
+    pub(crate) fn complete(&self, value: Arc<V>) {
+        *self.lock() = Some(value);
         self.cond.notify_all();
     }
 
     /// Blocks until the slot is filled or `deadline` passes.
     #[must_use]
-    pub fn wait_until(&self, deadline: Instant) -> Option<Arc<CellOutcome>> {
+    pub fn wait_until(&self, deadline: Instant) -> Option<Arc<V>> {
         let mut state = self.lock();
         loop {
-            if let Some(outcome) = state.as_ref() {
-                return Some(Arc::clone(outcome));
+            if let Some(value) = state.as_ref() {
+                return Some(Arc::clone(value));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -144,7 +146,7 @@ pub enum CellPlan {
     /// Already computed: the outcome is immediately available.
     Cached(Arc<CellOutcome>),
     /// An identical cell is in flight: wait on its slot.
-    Joined(Arc<FlightSlot>),
+    Joined(Arc<FlightSlot<CellOutcome>>),
     /// This request leads the cell: it must enqueue the returned job.
     Lead(CellJob),
 }
@@ -155,7 +157,7 @@ pub struct CellJob {
     /// The cell to compute.
     pub key: CellKey,
     /// The slot every waiter of this cell blocks on.
-    pub slot: Arc<FlightSlot>,
+    pub slot: Arc<FlightSlot<CellOutcome>>,
 }
 
 /// Default bound on the in-memory completed-result LRU.
@@ -221,7 +223,7 @@ impl MemoryLru {
 /// persisted, so a restarted replica answers its old cells from disk —
 /// byte-identically — without recomputing.
 pub struct CellStore {
-    inflight: Mutex<HashMap<CellKey, Arc<FlightSlot>>>,
+    inflight: Mutex<HashMap<CellKey, Arc<FlightSlot<CellOutcome>>>>,
     done: Mutex<MemoryLru>,
     disk: Option<Arc<DiskCache>>,
     metrics: Option<Arc<Metrics>>,
@@ -256,7 +258,7 @@ impl CellStore {
         self.disk.as_ref()
     }
 
-    fn inflight(&self) -> MutexGuard<'_, HashMap<CellKey, Arc<FlightSlot>>> {
+    fn inflight(&self) -> MutexGuard<'_, HashMap<CellKey, Arc<FlightSlot<CellOutcome>>>> {
         lock_unpoisoned(&self.inflight)
     }
 
@@ -363,9 +365,6 @@ struct PoolShared {
     fault: Option<Arc<FaultPlan>>,
     /// Worker join handles, including respawns (see [`spawn_worker`]).
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Test hook: artificial per-cell latency, so backpressure and
-    /// timeout paths can be exercised deterministically.
-    cell_delay: Duration,
 }
 
 /// A fixed-size set of supervised worker threads fed by one bounded
@@ -386,7 +385,6 @@ impl WorkerPool {
         store: Arc<CellStore>,
         metrics: Arc<Metrics>,
         fault: Option<Arc<FaultPlan>>,
-        cell_delay: Duration,
     ) -> WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -400,7 +398,6 @@ impl WorkerPool {
             metrics,
             fault,
             handles: Mutex::new(Vec::new()),
-            cell_delay,
         });
         for i in 0..workers {
             spawn_worker(&shared, i);
@@ -557,9 +554,6 @@ fn worker_loop(shared: &PoolShared) {
             shared.metrics.fault(FaultSite::CellLatency);
             std::thread::sleep(delay);
         }
-        if !shared.cell_delay.is_zero() {
-            std::thread::sleep(shared.cell_delay);
-        }
         let mut outcome = catch_cell_panic(|| {
             if let Some(plan) = &shared.fault {
                 if plan.fires(FaultSite::WorkerPanic) {
@@ -620,6 +614,7 @@ fn compute(runner: &Runner, key: &CellKey) -> CellOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use tpi_compiler::OptLevel;
     use tpi_proto::SchemeId;
     use tpi_workloads::{Kernel, Scale};
@@ -638,16 +633,9 @@ mod tests {
         }
     }
 
-    fn pool(workers: usize, cap: usize, delay: Duration) -> (WorkerPool, Arc<CellStore>) {
-        faulted_pool(workers, cap, delay, None)
-    }
-
-    fn faulted_pool(
-        workers: usize,
-        cap: usize,
-        delay: Duration,
-        fault: Option<Arc<FaultPlan>>,
-    ) -> (WorkerPool, Arc<CellStore>) {
+    /// A pool under the fault spec `faults` (`cell_latency=1:MS` holds
+    /// every cell in flight for `MS`).
+    fn pool(workers: usize, cap: usize, faults: Option<&str>) -> (WorkerPool, Arc<CellStore>) {
         let store = Arc::new(CellStore::default());
         let pool = WorkerPool::start(
             workers,
@@ -655,8 +643,7 @@ mod tests {
             Arc::new(Runner::serial()),
             Arc::clone(&store),
             Arc::new(Metrics::default()),
-            fault,
-            delay,
+            faults.map(|spec| Arc::new(FaultPlan::parse(spec).unwrap())),
         );
         (pool, store)
     }
@@ -680,7 +667,6 @@ mod tests {
             Arc::clone(&store),
             Arc::clone(&metrics),
             None,
-            Duration::ZERO,
         );
         let mut rendered = Vec::new();
         for seed in 70..73 {
@@ -727,7 +713,7 @@ mod tests {
 
     #[test]
     fn computes_and_caches_a_cell() {
-        let (pool, store) = pool(1, 4, Duration::ZERO);
+        let (pool, store) = pool(1, 4, None);
         let CellPlan::Lead(job) = store.plan(key(1)) else {
             panic!("fresh cell must be led");
         };
@@ -748,7 +734,7 @@ mod tests {
     fn duplicate_inflight_cells_join_one_flight() {
         // A long artificial delay holds the cell in flight while the
         // second plan is made.
-        let (pool, store) = pool(1, 4, Duration::from_millis(200));
+        let (pool, store) = pool(1, 4, Some("cell_latency=1:200"));
         let CellPlan::Lead(job) = store.plan(key(2)) else {
             panic!("fresh cell must be led");
         };
@@ -770,7 +756,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_is_all_or_nothing() {
-        let (pool, store) = pool(1, 2, Duration::from_millis(300));
+        let (pool, store) = pool(1, 2, Some("cell_latency=1:300"));
         // Occupy the worker and fill the queue.
         let mut jobs = Vec::new();
         for seed in 10..13 {
@@ -799,7 +785,7 @@ mod tests {
 
     #[test]
     fn wait_until_respects_the_deadline() {
-        let slot = FlightSlot::new();
+        let slot = FlightSlot::<CellOutcome>::new();
         let t0 = Instant::now();
         assert!(slot
             .wait_until(Instant::now() + Duration::from_millis(30))
@@ -809,7 +795,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let (pool, store) = pool(2, 8, Duration::from_millis(20));
+        let (pool, store) = pool(2, 8, Some("cell_latency=1:20"));
         let mut slots = Vec::new();
         let mut jobs = Vec::new();
         for seed in 20..26 {
@@ -832,8 +818,7 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_fails_only_its_waiters_and_is_not_cached() {
-        let plan = Arc::new(FaultPlan::parse("seed=1,worker_panic=1@1").unwrap());
-        let (pool, store) = faulted_pool(1, 4, Duration::ZERO, Some(Arc::clone(&plan)));
+        let (pool, store) = pool(1, 4, Some("seed=1,worker_panic=1@1"));
         let CellPlan::Lead(job) = store.plan(key(40)) else {
             panic!("fresh cell must be led");
         };
@@ -876,7 +861,6 @@ mod tests {
             Arc::clone(&store),
             Arc::clone(&metrics),
             Some(plan),
-            Duration::ZERO,
         );
         let mut slots = Vec::new();
         let mut jobs = Vec::new();
@@ -909,8 +893,7 @@ mod tests {
         // One worker that dies after its first cell, with stop already
         // requested so it is not respawned: the remaining queued jobs
         // must be answered with ShuttingDown, not wedged.
-        let plan = Arc::new(FaultPlan::parse("seed=3,worker_exit=1").unwrap());
-        let (pool, store) = faulted_pool(1, 8, Duration::from_millis(200), Some(plan));
+        let (pool, store) = pool(1, 8, Some("seed=3,worker_exit=1,cell_latency=1:200"));
         let mut slots = Vec::new();
         let mut jobs = Vec::new();
         for seed in 60..63 {

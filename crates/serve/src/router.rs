@@ -2,7 +2,7 @@
 //! replicas.
 //!
 //! ```text
-//! clients ──► router accept loop ──► per-cell placement (hash ring)
+//! clients ──► service skeleton ──► per-cell placement (hash ring)
 //!                                        │ global single-flight
 //!                                        ▼
 //!                      replica A ◄── forward with per-attempt deadline
@@ -32,10 +32,11 @@
 //!
 //! Identical in-flight cells are deduplicated *globally* at the router
 //! (one upstream forward no matter how many clients ask), which is
-//! strictly stronger than each replica's own single-flight table. The
-//! router keeps no result cache — replicas own caching (memory LRU over
-//! the crash-safe disk store, see [`crate::disk`]) — so a replica
-//! restart's warmness stays observable end to end.
+//! strictly stronger than each replica's own single-flight table; both
+//! tables hold the same [`FlightSlot`] type. The router keeps no result
+//! cache — replicas own caching (memory LRU over the crash-safe disk
+//! store, see [`crate::disk`]) — so a replica restart's warmness stays
+//! observable end to end.
 //!
 //! When every replica is draining the router answers `503` with code
 //! `all_replicas_draining` and a `Retry-After` header: an explicit,
@@ -43,17 +44,17 @@
 
 use crate::disk::fnv1a;
 use crate::fault::splitmix64;
-use crate::http::{read_request, write_response, HttpError, Request};
 use crate::json::{parse, Json};
 use crate::loadgen::{self, RetryPolicy};
-use crate::wire::{error_body, kernels_body, schemes_body, CellKey, GridRequest};
+use crate::pool::FlightSlot;
+use crate::service::{Handler, Response, Service};
+use crate::wire::{error_body, CellKey, GridRequest};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use tpi::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
+use tpi::lock_unpoisoned;
 
 /// Virtual nodes per replica on the consistent-hash ring. 64 keeps the
 /// arc sizes within a few percent of even for small fleets while the
@@ -156,7 +157,7 @@ struct Replica {
 /// How one cell's forward resolved. `Cell` is the happy path: the
 /// replica's rendered cell object, spliced verbatim into the response
 /// (parse→render is byte-stable, so routed bytes equal direct bytes).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum CellReply {
     Cell(Json),
     /// A terminal upstream response (e.g. a structured per-cell 4xx/5xx
@@ -169,45 +170,6 @@ enum CellReply {
     Unavailable,
     /// No healthy replica existed when the cell needed one.
     AllDraining,
-}
-
-/// A slot one leader fills and any number of waiters block on — the
-/// router-global single-flight table's value type.
-struct CellSlot {
-    state: Mutex<Option<CellReply>>,
-    cond: Condvar,
-}
-
-impl CellSlot {
-    fn new() -> Arc<CellSlot> {
-        Arc::new(CellSlot {
-            state: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, reply: CellReply) {
-        *lock_unpoisoned(&self.state) = Some(reply);
-        self.cond.notify_all();
-    }
-
-    fn wait_until(&self, deadline: Instant) -> Option<CellReply> {
-        let mut state = lock_unpoisoned(&self.state);
-        loop {
-            if let Some(reply) = state.as_ref() {
-                return Some(reply.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) = wait_timeout_unpoisoned(&self.cond, state, deadline - now);
-            state = next;
-            if timeout.timed_out() && state.is_none() {
-                return None;
-            }
-        }
-    }
 }
 
 /// Fixed-shape router counters, rendered on `GET /metrics`.
@@ -226,36 +188,61 @@ struct RouterMetrics {
     rejected_timeout: AtomicU64,
 }
 
+/// The consistent-hash ring. Membership is static, so it is built once.
+struct Ring {
+    /// `(point, replica index)` sorted by point.
+    points: Vec<(u64, usize)>,
+    replicas: usize,
+}
+
+impl Ring {
+    fn new(replicas: &[SocketAddr]) -> Ring {
+        let mut points = Vec::with_capacity(replicas.len() * VNODES);
+        for (index, addr) in replicas.iter().enumerate() {
+            let mut point = fnv1a(addr.to_string().as_bytes());
+            for _ in 0..VNODES {
+                point = splitmix64(point);
+                points.push((point, index));
+            }
+        }
+        points.sort_unstable();
+        Ring {
+            points,
+            replicas: replicas.len(),
+        }
+    }
+
+    /// The replica preference order for `key`: ring order starting at
+    /// the cell's hash point, each replica once. Health is filtered at
+    /// attempt time, not here, so failover and re-probe compose.
+    fn placement(&self, key: &CellKey) -> Vec<usize> {
+        let hash = splitmix64(fnv1a(key.canonical().as_bytes()));
+        let start = self.points.partition_point(|&(point, _)| point < hash);
+        let mut order = Vec::with_capacity(self.replicas);
+        for i in 0..self.points.len() {
+            let (_, replica) = self.points[(start + i) % self.points.len()];
+            if !order.contains(&replica) {
+                order.push(replica);
+                if order.len() == self.replicas {
+                    break;
+                }
+            }
+        }
+        order
+    }
+}
+
 struct RouterShared {
+    service: Arc<Service>,
     config: RouterConfig,
-    addr: SocketAddr,
     replicas: Vec<Replica>,
-    /// `(point, replica index)` sorted by point; membership is static so
-    /// the ring is built once.
-    ring: Vec<(u64, usize)>,
-    inflight: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
+    ring: Ring,
+    inflight: Mutex<HashMap<CellKey, Arc<FlightSlot<CellReply>>>>,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
-    shutdown_signal: (Mutex<bool>, Condvar),
-    active_conns: AtomicUsize,
-    started: Instant,
 }
 
 impl RouterShared {
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let (lock, cond) = &self.shutdown_signal;
-        *lock_unpoisoned(lock) = true;
-        cond.notify_all();
-        // Poke the blocking accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    fn inflight(&self) -> MutexGuard<'_, HashMap<CellKey, Arc<CellSlot>>> {
+    fn inflight(&self) -> MutexGuard<'_, HashMap<CellKey, Arc<FlightSlot<CellReply>>>> {
         lock_unpoisoned(&self.inflight)
     }
 
@@ -265,36 +252,16 @@ impl RouterShared {
             .filter(|r| r.healthy.load(Ordering::Acquire))
             .count()
     }
-
-    /// The replica preference order for `key`: ring order starting at
-    /// the cell's hash point, each replica once. Health is filtered at
-    /// attempt time, not here, so failover and re-probe compose.
-    fn placement(&self, key: &CellKey) -> Vec<usize> {
-        let hash = splitmix64(fnv1a(key.canonical().as_bytes()));
-        let start = self.ring.partition_point(|&(point, _)| point < hash);
-        let mut order = Vec::with_capacity(self.replicas.len());
-        for i in 0..self.ring.len() {
-            let (_, replica) = self.ring[(start + i) % self.ring.len()];
-            if !order.contains(&replica) {
-                order.push(replica);
-                if order.len() == self.replicas.len() {
-                    break;
-                }
-            }
-        }
-        order
-    }
 }
 
 /// A running router instance.
 pub struct Router {
     shared: Arc<RouterShared>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
     prober_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Router {
-    /// Binds, spawns the health prober and the accept loop, and returns.
+    /// Binds, spawns the accept loop and the health prober, and returns.
     ///
     /// # Errors
     ///
@@ -307,53 +274,32 @@ impl Router {
                 "a router needs at least one replica",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let now = Instant::now();
-        let replicas: Vec<Replica> = config
-            .replicas
-            .iter()
-            .map(|&addr| Replica {
-                addr,
-                healthy: AtomicBool::new(true),
-                last_ok: Mutex::new(now),
+        let shared = Service::start(&config.addr, config.max_body_bytes, |service| {
+            let now = Instant::now();
+            Ok(RouterShared {
+                service,
+                replicas: config
+                    .replicas
+                    .iter()
+                    .map(|&addr| Replica {
+                        addr,
+                        healthy: AtomicBool::new(true),
+                        last_ok: Mutex::new(now),
+                    })
+                    .collect(),
+                ring: Ring::new(&config.replicas),
+                config: config.clone(),
+                inflight: Mutex::new(HashMap::new()),
+                metrics: RouterMetrics::default(),
             })
-            .collect();
-        let mut ring = Vec::with_capacity(replicas.len() * VNODES);
-        for (index, replica) in replicas.iter().enumerate() {
-            let base = fnv1a(replica.addr.to_string().as_bytes());
-            let mut point = base;
-            for _ in 0..VNODES {
-                point = splitmix64(point);
-                ring.push((point, index));
-            }
-        }
-        ring.sort_unstable();
-        let shared = Arc::new(RouterShared {
-            config,
-            addr,
-            replicas,
-            ring,
-            inflight: Mutex::new(HashMap::new()),
-            metrics: RouterMetrics::default(),
-            shutdown: AtomicBool::new(false),
-            shutdown_signal: (Mutex::new(false), Condvar::new()),
-            active_conns: AtomicUsize::new(0),
-            started: now,
-        });
+        })?;
         let prober_shared = Arc::clone(&shared);
         let prober_handle = std::thread::Builder::new()
             .name("tpi-router-prober".to_owned())
             .spawn(move || prober_loop(&prober_shared))
             .expect("spawn prober");
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("tpi-router-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept loop");
         Ok(Router {
             shared,
-            accept_handle: Some(accept_handle),
             prober_handle: Some(prober_handle),
         })
     }
@@ -361,7 +307,7 @@ impl Router {
     /// The bound address (resolves port 0 to the real ephemeral port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.service.addr()
     }
 
     /// Replicas currently holding a health lease.
@@ -381,11 +327,7 @@ impl Router {
     /// Blocks until some client posts `/admin/shutdown` (or another
     /// thread calls [`Router::shutdown`]).
     pub fn wait_for_shutdown_request(&self) {
-        let (lock, cond) = &self.shared.shutdown_signal;
-        let mut requested = lock_unpoisoned(lock);
-        while !*requested {
-            requested = wait_unpoisoned(cond, requested);
-        }
+        self.shared.service.wait_for_shutdown_request();
     }
 
     /// Graceful shutdown: stop accepting, let open connections finish
@@ -393,19 +335,11 @@ impl Router {
     /// Replicas are *not* shut down — the router fronts the fleet, it
     /// does not own it.
     pub fn shutdown(mut self) -> RouterStats {
-        self.shared.request_shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+        self.shared.service.stop_accepting();
         if let Some(handle) = self.prober_handle.take() {
             let _ = handle.join();
         }
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::Acquire) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.shared.service.drain();
         let m = &self.shared.metrics;
         RouterStats {
             experiment_requests: m.experiment_requests.load(Ordering::Relaxed),
@@ -422,12 +356,9 @@ impl Router {
 /// Probes every replica, renews or expires leases, sleeps one interval
 /// (woken early by shutdown), repeats. Probing is the *only* writer of
 /// replica health.
-fn prober_loop(shared: &Arc<RouterShared>) {
+fn prober_loop(shared: &RouterShared) {
     let timeout = shared.config.probe_interval.max(Duration::from_millis(50));
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
+    while !shared.service.shutting_down() {
         for replica in &shared.replicas {
             let alive = loadgen::get(replica.addr, "/healthz", timeout)
                 .map(|r| r.status == 200)
@@ -444,211 +375,58 @@ fn prober_loop(shared: &Arc<RouterShared>) {
                 }
             }
         }
-        let (lock, cond) = &shared.shutdown_signal;
-        let guard = lock_unpoisoned(lock);
-        if *guard {
-            return;
-        }
-        let _ = wait_timeout_unpoisoned(cond, guard, shared.config.probe_interval);
+        shared
+            .service
+            .sleep_unless_shutdown(shared.config.probe_interval);
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                shared.active_conns.fetch_add(1, Ordering::AcqRel);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("tpi-router-conn".to_owned())
-                    .spawn(move || {
-                        connection_loop(&stream, &conn_shared);
-                        conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
+impl Handler for RouterShared {
+    const NAME: &'static str = "tpi-router";
+
+    fn experiments(&self, body: &[u8]) -> Response {
+        if self.service.shutting_down() {
+            return Response::json(
+                503,
+                error_body("shutting_down", "the router is shutting down"),
+            );
         }
+        handle_experiments(self, body)
     }
-}
 
-/// How long a connection blocks in `read` before re-checking the
-/// shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-fn connection_loop(stream: &TcpStream, shared: &Arc<RouterShared>) {
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader, shared.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Idle) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            Err(HttpError::Closed | HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(message)) => {
-                let body = error_body("bad_request", &message);
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-            Err(HttpError::BodyTooLarge(n)) => {
-                let body = error_body("body_too_large", &format!("{n} bytes exceeds the limit"));
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-        };
-        let response = route(shared, &request);
-        let keep_alive = request.keep_alive && !shared.shutting_down();
-        let headers: Vec<(&str, String)> = response
-            .extra_headers
+    fn healthz(&self) -> Json {
+        let replicas: Vec<Json> = self
+            .replicas
             .iter()
-            .map(|(k, v)| (*k, v.clone()))
+            .map(|r| {
+                Json::obj([
+                    ("addr", Json::from(r.addr.to_string())),
+                    ("healthy", Json::Bool(r.healthy.load(Ordering::Acquire))),
+                ])
+            })
             .collect();
-        let mut out = stream;
-        if write_response(
-            &mut out,
-            response.status,
-            response.content_type,
-            response.body.as_bytes(),
-            &headers,
-            keep_alive,
-        )
-        .is_err()
-            || !keep_alive
-        {
-            return;
-        }
+        let healthy = self.healthy_replicas();
+        Json::obj([
+            (
+                "status",
+                Json::from(if healthy > 0 { "ok" } else { "draining" }),
+            ),
+            (
+                "uptime_seconds",
+                Json::from(self.service.uptime().as_secs()),
+            ),
+            ("replicas", Json::Arr(replicas)),
+            ("healthy_replicas", Json::from(healthy)),
+            ("inflight_cells", Json::from(self.inflight().len())),
+        ])
+    }
+
+    fn metrics(&self) -> String {
+        render_metrics(self)
     }
 }
 
-struct RouteResponse {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    extra_headers: Vec<(&'static str, String)>,
-}
-
-impl RouteResponse {
-    fn json(status: u16, body: String) -> RouteResponse {
-        RouteResponse {
-            status,
-            content_type: "application/json",
-            body,
-            extra_headers: Vec::new(),
-        }
-    }
-
-    fn retryable_503(body: String) -> RouteResponse {
-        let mut response = RouteResponse::json(503, body);
-        response.extra_headers.push(("retry-after", "1".to_owned()));
-        response
-    }
-}
-
-fn route(shared: &Arc<RouterShared>, request: &Request) -> RouteResponse {
-    let path = request
-        .target
-        .split('?')
-        .next()
-        .unwrap_or(request.target.as_str());
-    match (request.method.as_str(), path) {
-        ("POST", "/v1/experiments") => {
-            if shared.shutting_down() {
-                return RouteResponse::json(
-                    503,
-                    error_body("shutting_down", "the router is shutting down"),
-                );
-            }
-            handle_experiments(shared, &request.body)
-        }
-        // Discovery is served locally: the router links the same kernel
-        // and scheme tables as every replica, so the bytes are identical
-        // and the endpoints stay up even with the whole fleet draining.
-        ("GET", "/v1/kernels") => RouteResponse::json(200, kernels_body()),
-        ("GET", "/v1/schemes") => RouteResponse::json(200, schemes_body()),
-        ("GET", "/healthz") => handle_healthz(shared),
-        ("GET", "/metrics") => RouteResponse {
-            status: 200,
-            content_type: "text/plain; version=0.0.4",
-            body: render_metrics(shared),
-            extra_headers: Vec::new(),
-        },
-        ("POST", "/admin/shutdown") => {
-            shared.request_shutdown();
-            RouteResponse::json(200, "{\"status\":\"shutting down\"}".to_owned())
-        }
-        (
-            _,
-            "/v1/experiments" | "/v1/kernels" | "/v1/schemes" | "/healthz" | "/metrics"
-            | "/admin/shutdown",
-        ) => RouteResponse::json(405, error_body("method_not_allowed", "wrong method")),
-        _ => RouteResponse::json(
-            404,
-            error_body("not_found", &format!("no route for {path}")),
-        ),
-    }
-}
-
-fn handle_healthz(shared: &Arc<RouterShared>) -> RouteResponse {
-    let replicas: Vec<Json> = shared
-        .replicas
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("addr", Json::from(r.addr.to_string())),
-                ("healthy", Json::Bool(r.healthy.load(Ordering::Acquire))),
-            ])
-        })
-        .collect();
-    let healthy = shared.healthy_replicas();
-    let body = Json::obj([
-        (
-            "status",
-            Json::from(if healthy > 0 { "ok" } else { "draining" }),
-        ),
-        (
-            "uptime_seconds",
-            Json::from(shared.started.elapsed().as_secs()),
-        ),
-        ("replicas", Json::Arr(replicas)),
-        ("healthy_replicas", Json::from(healthy)),
-        ("inflight_cells", Json::from(shared.inflight().len())),
-    ])
-    .render();
-    RouteResponse::json(200, body)
-}
-
-fn render_metrics(shared: &Arc<RouterShared>) -> String {
+fn render_metrics(shared: &RouterShared) -> String {
     let m = &shared.metrics;
     let mut out = String::with_capacity(2048);
     let counters: [(&str, &str, u64); 11] = [
@@ -728,19 +506,19 @@ fn render_metrics(shared: &Arc<RouterShared>) -> String {
         "# HELP tpi_router_uptime_seconds Seconds since the router started\n\
          # TYPE tpi_router_uptime_seconds gauge\n\
          tpi_router_uptime_seconds {}\n",
-        shared.started.elapsed().as_secs()
+        shared.service.uptime().as_secs()
     ));
     out
 }
 
-fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse {
+fn handle_experiments(shared: &RouterShared, body: &[u8]) -> Response {
     shared
         .metrics
         .experiment_requests
         .fetch_add(1, Ordering::Relaxed);
     let bad = |code: &'static str, message: String| {
         shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-        RouteResponse::json(400, error_body(code, &message))
+        Response::json(400, error_body(code, &message))
     };
     let Ok(text) = std::str::from_utf8(body) else {
         return bad("bad_json", "body is not UTF-8".to_owned());
@@ -753,7 +531,7 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
         Ok(grid) => grid,
         Err(e) => {
             shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return RouteResponse::json(400, e.body());
+            return Response::json(400, e.body());
         }
     };
     let cells = grid.cells();
@@ -772,13 +550,13 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
     let mut rendered = Vec::with_capacity(cells.len());
     for key in cells {
         let reply = resolve_cell(shared, key, deadline);
-        match reply {
-            Some(CellReply::Cell(json)) => rendered.push(json),
+        match reply.as_deref() {
+            Some(CellReply::Cell(json)) => rendered.push(json.clone()),
             Some(CellReply::Relay { status, body }) => {
-                return RouteResponse::json(status, body);
+                return Response::json(*status, body.clone());
             }
             Some(CellReply::Unavailable) => {
-                return RouteResponse::retryable_503(error_body(
+                return Response::retryable_503(error_body(
                     "upstream_unavailable",
                     "every forward attempt for a cell failed; retry after the suggested delay",
                 ));
@@ -788,7 +566,7 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
                     .metrics
                     .rejected_draining
                     .fetch_add(1, Ordering::Relaxed);
-                return RouteResponse::retryable_503(error_body(
+                return Response::retryable_503(error_body(
                     "all_replicas_draining",
                     "no replica holds a health lease; retry after the suggested delay",
                 ));
@@ -798,7 +576,7 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
                     .metrics
                     .rejected_timeout
                     .fetch_add(1, Ordering::Relaxed);
-                return RouteResponse::json(
+                return Response::json(
                     504,
                     error_body(
                         "timeout",
@@ -810,13 +588,13 @@ fn handle_experiments(shared: &Arc<RouterShared>, body: &[u8]) -> RouteResponse 
     }
     let count = rendered.len();
     let body = Json::obj([("cells", Json::Arr(rendered)), ("count", Json::from(count))]).render();
-    RouteResponse::json(200, body)
+    Response::json(200, body)
 }
 
 /// Resolves one cell through the global single-flight table: join an
 /// identical in-flight forward, or lead one. `None` means the deadline
 /// passed first.
-fn resolve_cell(shared: &Arc<RouterShared>, key: CellKey, deadline: Instant) -> Option<CellReply> {
+fn resolve_cell(shared: &RouterShared, key: CellKey, deadline: Instant) -> Option<Arc<CellReply>> {
     let slot = {
         let mut inflight = shared.inflight();
         if let Some(slot) = inflight.get(&key) {
@@ -825,16 +603,16 @@ fn resolve_cell(shared: &Arc<RouterShared>, key: CellKey, deadline: Instant) -> 
             drop(inflight);
             return slot.wait_until(deadline);
         }
-        let slot = CellSlot::new();
+        let slot = FlightSlot::new();
         inflight.insert(key, Arc::clone(&slot));
         slot
     };
-    let reply = forward_cell(shared, &key, deadline);
+    let reply = Arc::new(forward_cell(shared, &key, deadline));
     // Publish before removing so joiners that already hold the slot and
     // latecomers that will miss the table both see a terminal answer.
-    slot.complete(reply.clone());
+    slot.complete(Arc::clone(&reply));
     shared.inflight().remove(&key);
-    if matches!(reply, CellReply::Cell(_)) {
+    if matches!(*reply, CellReply::Cell(_)) {
         shared
             .metrics
             .cells_forwarded
@@ -847,8 +625,8 @@ fn resolve_cell(shared: &Arc<RouterShared>, key: CellKey, deadline: Instant) -> 
 /// one attempt each with a per-attempt deadline, jittered backoff
 /// between attempts, until an attempt succeeds, a terminal upstream
 /// answer arrives, or the budget runs out.
-fn forward_cell(shared: &Arc<RouterShared>, key: &CellKey, deadline: Instant) -> CellReply {
-    let order = shared.placement(key);
+fn forward_cell(shared: &RouterShared, key: &CellKey, deadline: Instant) -> CellReply {
+    let order = shared.ring.placement(key);
     let body = key.single_cell_body();
     let cell_hash = splitmix64(fnv1a(key.canonical().as_bytes()));
     let mut saw_healthy = false;
@@ -953,59 +731,31 @@ mod tests {
         GridRequest::parse(&doc).unwrap().cells()[0]
     }
 
-    fn ring_shared(replicas: &[&str]) -> RouterShared {
-        let now = Instant::now();
-        let replicas: Vec<Replica> = replicas
-            .iter()
-            .map(|a| Replica {
-                addr: a.parse().unwrap(),
-                healthy: AtomicBool::new(true),
-                last_ok: Mutex::new(now),
-            })
-            .collect();
-        let mut ring = Vec::new();
-        for (index, replica) in replicas.iter().enumerate() {
-            let mut point = fnv1a(replica.addr.to_string().as_bytes());
-            for _ in 0..VNODES {
-                point = splitmix64(point);
-                ring.push((point, index));
-            }
-        }
-        ring.sort_unstable();
-        RouterShared {
-            config: RouterConfig::default(),
-            addr: "127.0.0.1:0".parse().unwrap(),
-            replicas,
-            ring,
-            inflight: Mutex::new(HashMap::new()),
-            metrics: RouterMetrics::default(),
-            shutdown: AtomicBool::new(false),
-            shutdown_signal: (Mutex::new(false), Condvar::new()),
-            active_conns: AtomicUsize::new(0),
-            started: now,
-        }
+    fn ring(replicas: &[&str]) -> Ring {
+        let addrs: Vec<SocketAddr> = replicas.iter().map(|a| a.parse().unwrap()).collect();
+        Ring::new(&addrs)
     }
 
     #[test]
     fn placement_is_stable_and_covers_every_replica() {
-        let shared = ring_shared(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
+        let ring = ring(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
         for seed in 0..20 {
             let key = test_key(seed);
-            let order = shared.placement(&key);
+            let order = ring.placement(&key);
             assert_eq!(order.len(), 3);
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2], "a permutation of the fleet");
-            assert_eq!(order, shared.placement(&key), "placement is deterministic");
+            assert_eq!(order, ring.placement(&key), "placement is deterministic");
         }
     }
 
     #[test]
     fn placement_spreads_cells_across_the_fleet() {
-        let shared = ring_shared(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
+        let ring = ring(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
         let mut owners = [0usize; 3];
         for seed in 0..60 {
-            owners[shared.placement(&test_key(seed))[0]] += 1;
+            owners[ring.placement(&test_key(seed))[0]] += 1;
         }
         assert!(
             owners.iter().all(|&n| n > 0),
@@ -1015,15 +765,15 @@ mod tests {
 
     #[test]
     fn killing_a_replica_moves_only_its_cells() {
-        let shared = ring_shared(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
+        let ring = ring(&["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]);
         let keys: Vec<CellKey> = (0..60).map(test_key).collect();
-        let before: Vec<usize> = keys.iter().map(|k| shared.placement(k)[0]).collect();
+        let before: Vec<usize> = keys.iter().map(|k| ring.placement(k)[0]).collect();
         // A draining replica keeps its ring points; only the healthy
         // filter at attempt time changes. The *preference order* of the
         // survivors must be untouched for cells they already owned.
         for (key, &owner) in keys.iter().zip(&before) {
             if owner != 1 {
-                let order = shared.placement(key);
+                let order = ring.placement(key);
                 let survivors: Vec<usize> = order.iter().copied().filter(|&i| i != 1).collect();
                 assert_eq!(
                     survivors.first(),
@@ -1036,18 +786,18 @@ mod tests {
 
     #[test]
     fn cell_slot_joins_see_the_leaders_reply() {
-        let slot = CellSlot::new();
+        let slot = FlightSlot::new();
         let waiter = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.wait_until(Instant::now() + Duration::from_secs(5)))
         };
-        slot.complete(CellReply::Unavailable);
+        slot.complete(Arc::new(CellReply::Unavailable));
         assert!(matches!(
-            waiter.join().unwrap(),
+            waiter.join().unwrap().as_deref(),
             Some(CellReply::Unavailable)
         ));
         // A slot that is never filled times out instead of hanging.
-        let empty = CellSlot::new();
+        let empty = FlightSlot::<CellReply>::new();
         assert!(empty
             .wait_until(Instant::now() + Duration::from_millis(20))
             .is_none());

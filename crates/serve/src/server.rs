@@ -1,12 +1,10 @@
-//! The service: accept loop, router, request handling, and graceful
-//! shutdown.
+//! The replica: request handling over the HTTP skeleton it shares with
+//! the [router](crate::router), and graceful shutdown.
 //!
 //! ```text
-//! clients ──► accept loop ──► connection threads ──► router
-//!                                                      │
-//!                       POST /v1/experiments ──► plan cells (CellStore)
-//!                         cached ◄─ result cache       │ leads
-//!                         joined ◄─ in-flight table    ▼
+//! clients ──► service skeleton ──► POST /v1/experiments ──► plan cells (CellStore)
+//!                                    cached ◄─ result cache       │ leads
+//!                                    joined ◄─ in-flight table    ▼
 //!                                             bounded queue ──► workers ──► Runner
 //! ```
 //!
@@ -23,20 +21,19 @@
 
 use crate::disk::{DiskCache, RecoveryReport};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::http::{read_request, write_response, HttpError, Request};
 use crate::json::{parse, Json};
 use crate::metrics::{Endpoint, Metrics};
-use crate::pool::{CellError, CellOutcome, CellPlan, CellStore, WorkerPool, DEFAULT_MEMORY_CELLS};
-use crate::wire::{
-    error_body, kernels_body, render_cell_error, schemes_body, BadRequest, CellKey, GridRequest,
+use crate::pool::{
+    CellError, CellOutcome, CellPlan, CellStore, FlightSlot, WorkerPool, DEFAULT_MEMORY_CELLS,
 };
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::service::{Handler, Response, Service};
+use crate::wire::{error_body, render_cell_error, BadRequest, CellKey, GridRequest};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tpi::{lock_unpoisoned, wait_unpoisoned, Runner};
+use tpi::Runner;
 
 /// Everything tunable about one server instance.
 #[derive(Debug, Clone)]
@@ -56,8 +53,6 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Largest grid a single request may expand to.
     pub max_cells_per_request: usize,
-    /// Test hook: artificial latency added to every cell computation.
-    pub cell_delay: Duration,
     /// Deterministic fault injection (the `--faults` flag). `None` — the
     /// default — means no faults and no injection overhead.
     pub fault: Option<Arc<FaultPlan>>,
@@ -79,7 +74,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(60),
             max_body_bytes: 1024 * 1024,
             max_cells_per_request: 1024,
-            cell_delay: Duration::ZERO,
             fault: None,
             cache_dir: None,
             memory_cells: DEFAULT_MEMORY_CELLS,
@@ -132,41 +126,21 @@ impl std::fmt::Display for ServeStats {
 }
 
 struct Shared {
+    service: Arc<Service>,
     config: ServeConfig,
-    addr: SocketAddr,
     runner: Arc<Runner>,
     metrics: Arc<Metrics>,
     store: Arc<CellStore>,
     pool: WorkerPool,
     fault: Option<Arc<FaultPlan>>,
-    shutdown: AtomicBool,
-    shutdown_signal: (Mutex<bool>, Condvar),
-    active_conns: AtomicUsize,
-    started: Instant,
     /// What the disk-cache recovery scan found at startup (`None` when
     /// the server runs memory-only).
     recovery: Option<RecoveryReport>,
 }
 
-impl Shared {
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let (lock, cond) = &self.shutdown_signal;
-        *lock_unpoisoned(lock) = true;
-        cond.notify_all();
-        // Poke the blocking accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-}
-
 /// A running service instance.
 pub struct Server {
     shared: Arc<Shared>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -176,61 +150,48 @@ impl Server {
     ///
     /// Fails if the address cannot be bound.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let runner = Arc::new(Runner::new());
-        let metrics = Arc::new(Metrics::default());
-        let fault = config.fault.clone();
-        let (disk, recovery) = match &config.cache_dir {
-            Some(dir) => {
-                let (disk, report) = DiskCache::open(dir, fault.clone(), Arc::clone(&metrics))?;
-                (Some(Arc::new(disk)), Some(report))
-            }
-            None => (None, None),
-        };
-        let store = Arc::new(CellStore::new(
-            config.memory_cells,
-            disk,
-            Some(Arc::clone(&metrics)),
-        ));
-        let pool = WorkerPool::start(
-            config.workers,
-            config.queue_cap,
-            Arc::clone(&runner),
-            Arc::clone(&store),
-            Arc::clone(&metrics),
-            fault.clone(),
-            config.cell_delay,
-        );
-        let shared = Arc::new(Shared {
-            config,
-            addr,
-            runner,
-            metrics,
-            store,
-            pool,
-            fault,
-            shutdown: AtomicBool::new(false),
-            shutdown_signal: (Mutex::new(false), Condvar::new()),
-            active_conns: AtomicUsize::new(0),
-            started: Instant::now(),
-            recovery,
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("tpi-serve-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept loop");
-        Ok(Server {
-            shared,
-            accept_handle: Some(accept_handle),
-        })
+        let shared = Service::start(&config.addr, config.max_body_bytes, |service| {
+            let runner = Arc::new(Runner::new());
+            let metrics = Arc::new(Metrics::default());
+            let fault = config.fault.clone();
+            let (disk, recovery) = match &config.cache_dir {
+                Some(dir) => {
+                    let (disk, report) = DiskCache::open(dir, fault.clone(), Arc::clone(&metrics))?;
+                    (Some(Arc::new(disk)), Some(report))
+                }
+                None => (None, None),
+            };
+            let store = Arc::new(CellStore::new(
+                config.memory_cells,
+                disk,
+                Some(Arc::clone(&metrics)),
+            ));
+            let pool = WorkerPool::start(
+                config.workers,
+                config.queue_cap,
+                Arc::clone(&runner),
+                Arc::clone(&store),
+                Arc::clone(&metrics),
+                fault.clone(),
+            );
+            Ok(Shared {
+                service,
+                config: config.clone(),
+                runner,
+                metrics,
+                store,
+                pool,
+                fault,
+                recovery,
+            })
+        })?;
+        Ok(Server { shared })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.service.addr()
     }
 
     /// What the disk-cache recovery scan found at startup (`None` when
@@ -264,11 +225,7 @@ impl Server {
     /// Blocks until some client posts `/admin/shutdown` (or another
     /// thread calls [`Server::shutdown`]).
     pub fn wait_for_shutdown_request(&self) {
-        let (lock, cond) = &self.shared.shutdown_signal;
-        let mut requested = lock_unpoisoned(lock);
-        while !*requested {
-            requested = wait_unpoisoned(cond, requested);
-        }
+        self.shared.service.wait_for_shutdown_request();
     }
 
     /// Graceful shutdown: stop accepting, drain or terminally fail every
@@ -282,19 +239,10 @@ impl Server {
     /// worker, or failed with [`CellError::ShuttingDown`]), so waiting
     /// connections always get a terminal answer instead of wedging the
     /// drain window.
-    pub fn shutdown(mut self) -> ServeStats {
-        self.shared.request_shutdown();
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) -> ServeStats {
+        self.shared.service.stop_accepting();
         self.shared.pool.shutdown();
-        // Connections notice the flag within one idle-poll interval.
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::Acquire) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.shared.service.drain();
         let m = &self.shared.metrics;
         ServeStats {
             experiment_requests: m.requests_for(Endpoint::Experiments),
@@ -310,277 +258,110 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                if let Some(plan) = &shared.fault {
-                    if plan.fires(FaultSite::ConnDrop) {
-                        shared.metrics.fault(FaultSite::ConnDrop);
-                        // Dropping the stream resets the connection
-                        // before a single byte is served.
-                        continue;
-                    }
-                }
-                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                shared.active_conns.fetch_add(1, Ordering::AcqRel);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("tpi-serve-conn".to_owned())
-                    .spawn(move || {
-                        connection_loop(&stream, &conn_shared);
-                        conn_shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
+impl Handler for Shared {
+    const NAME: &'static str = "tpi-serve";
+
+    fn experiments(&self, body: &[u8]) -> Response {
+        if self.service.shutting_down() {
+            return shutting_down_response();
         }
+        handle_experiments(self, body)
     }
-}
 
-/// How long a connection blocks in `read` before re-checking the
-/// shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-fn connection_loop(stream: &TcpStream, shared: &Arc<Shared>) {
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader, shared.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::Idle) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            Err(HttpError::Closed | HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(message)) => {
-                let body = error_body("bad_request", &message);
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-            Err(HttpError::BodyTooLarge(n)) => {
-                let body = error_body("body_too_large", &format!("{n} bytes exceeds the limit"));
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    &[],
-                    false,
-                );
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (endpoint, response) = route(shared, &request);
-        shared
-            .metrics
-            .record_request(endpoint, response.status, started.elapsed());
-        let keep_alive = request.keep_alive && !shared.shutting_down();
-        let headers: Vec<(&str, String)> = response
-            .extra_headers
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        if let Some(plan) = &shared.fault {
-            if plan.fires(FaultSite::RespTruncate) {
-                shared.metrics.fault(FaultSite::RespTruncate);
-                // Render the full response, send only half of it, and
-                // hang up: the client sees garbage-terminated bytes.
-                let mut rendered = Vec::new();
-                let _ = write_response(
-                    &mut rendered,
-                    response.status,
-                    response.content_type,
-                    response.body.as_bytes(),
-                    &headers,
-                    false,
-                );
-                let mut out = stream;
-                let _ = out.write_all(&rendered[..rendered.len() / 2]);
-                return;
-            }
-        }
-        let mut out = stream;
-        if write_response(
-            &mut out,
-            response.status,
-            response.content_type,
-            response.body.as_bytes(),
-            &headers,
-            keep_alive,
-        )
-        .is_err()
-            || !keep_alive
-        {
-            return;
-        }
-    }
-}
-
-struct RouteResponse {
-    status: u16,
-    content_type: &'static str,
-    body: String,
-    extra_headers: Vec<(&'static str, String)>,
-}
-
-impl RouteResponse {
-    fn json(status: u16, body: String) -> RouteResponse {
-        RouteResponse {
-            status,
-            content_type: "application/json",
-            body,
-            extra_headers: Vec::new(),
-        }
-    }
-}
-
-fn route(shared: &Arc<Shared>, request: &Request) -> (Endpoint, RouteResponse) {
-    let path = request
-        .target
-        .split('?')
-        .next()
-        .unwrap_or(request.target.as_str());
-    match (request.method.as_str(), path) {
-        ("POST", "/v1/experiments") => {
-            if shared.shutting_down() {
-                return (Endpoint::Experiments, shutting_down_response());
-            }
+    fn healthz(&self) -> Json {
+        let mut members = vec![
+            ("status", Json::from("ok")),
             (
-                Endpoint::Experiments,
-                handle_experiments(shared, &request.body),
-            )
-        }
-        ("GET", "/v1/kernels") => (Endpoint::Kernels, RouteResponse::json(200, kernels_body())),
-        ("GET", "/v1/schemes") => (Endpoint::Schemes, RouteResponse::json(200, schemes_body())),
-        ("GET", "/healthz") => (Endpoint::Healthz, handle_healthz(shared)),
-        ("GET", "/metrics") => (
-            Endpoint::Metrics,
-            RouteResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: shared.metrics.render(
-                    &shared.runner.stats(),
-                    &shared.runner.profile(),
-                    shared.pool.queue_depth(),
-                    shared.pool.busy(),
-                    shared.pool.workers(),
-                    shared.started.elapsed(),
-                ),
-                extra_headers: Vec::new(),
-            },
-        ),
-        ("POST", "/admin/shutdown") => {
-            shared.request_shutdown();
-            (
-                Endpoint::Shutdown,
-                RouteResponse::json(200, "{\"status\":\"shutting down\"}".to_owned()),
-            )
-        }
-        (
-            _,
-            "/v1/experiments" | "/v1/kernels" | "/v1/schemes" | "/healthz" | "/metrics"
-            | "/admin/shutdown",
-        ) => (
-            Endpoint::Other,
-            RouteResponse::json(405, error_body("method_not_allowed", "wrong method")),
-        ),
-        _ => (
-            Endpoint::Other,
-            RouteResponse::json(
-                404,
-                error_body("not_found", &format!("no route for {path}")),
+                "uptime_seconds",
+                Json::from(self.service.uptime().as_secs()),
             ),
-        ),
+            ("workers", Json::from(self.pool.workers())),
+            ("queue_depth", Json::from(self.pool.queue_depth())),
+            ("queue_capacity", Json::from(self.pool.capacity())),
+            ("results_cached", Json::from(self.store.results_cached())),
+        ];
+        if let Some(disk) = self.store.disk() {
+            let stats = disk.stats();
+            members.push((
+                "disk",
+                Json::obj([
+                    ("entries", Json::from(disk.entries())),
+                    ("hits", Json::from(stats.hits)),
+                    ("writes", Json::from(stats.writes)),
+                    ("quarantined", Json::from(stats.quarantined)),
+                ]),
+            ));
+        }
+        Json::obj(members)
+    }
+
+    fn metrics(&self) -> String {
+        self.metrics.render(
+            &self.runner.stats(),
+            &self.runner.profile(),
+            self.pool.queue_depth(),
+            self.pool.busy(),
+            self.pool.workers(),
+            self.service.uptime(),
+        )
+    }
+
+    fn admit(&self) -> bool {
+        if self.fires(FaultSite::ConnDrop) {
+            return false;
+        }
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    fn truncate(&self) -> bool {
+        self.fires(FaultSite::RespTruncate)
+    }
+
+    fn record(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
+        self.metrics.record_request(endpoint, status, elapsed);
     }
 }
 
-fn handle_healthz(shared: &Arc<Shared>) -> RouteResponse {
-    let mut members = vec![
-        ("status", Json::from("ok")),
-        (
-            "uptime_seconds",
-            Json::from(shared.started.elapsed().as_secs()),
-        ),
-        ("workers", Json::from(shared.pool.workers())),
-        ("queue_depth", Json::from(shared.pool.queue_depth())),
-        ("queue_capacity", Json::from(shared.pool.capacity())),
-        ("results_cached", Json::from(shared.store.results_cached())),
-    ];
-    if let Some(disk) = shared.store.disk() {
-        let stats = disk.stats();
-        members.push((
-            "disk",
-            Json::obj([
-                ("entries", Json::from(disk.entries())),
-                ("hits", Json::from(stats.hits)),
-                ("writes", Json::from(stats.writes)),
-                ("quarantined", Json::from(stats.quarantined)),
-            ]),
-        ));
+impl Shared {
+    /// Draws `site` from the fault plan, counting the fault if it fires.
+    fn fires(&self, site: FaultSite) -> bool {
+        let fired = self.fault.as_ref().is_some_and(|plan| plan.fires(site));
+        if fired {
+            self.metrics.fault(site);
+        }
+        fired
     }
-    RouteResponse::json(200, Json::obj(members).render())
 }
 
-fn bad_request(shared: &Shared, err: &BadRequest) -> RouteResponse {
+fn bad_request(shared: &Shared, err: &BadRequest) -> Response {
     shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-    RouteResponse::json(400, err.body())
+    Response::json(400, err.body())
 }
 
-fn overloaded(shared: &Shared) -> RouteResponse {
+fn overloaded(shared: &Shared) -> Response {
     shared
         .metrics
         .rejected_queue_full
         .fetch_add(1, Ordering::Relaxed);
-    let mut response = RouteResponse::json(
-        503,
-        error_body(
-            "overloaded",
-            "work queue is full; retry after the suggested delay",
-        ),
-    );
-    response.extra_headers.push(("retry-after", "1".to_owned()));
-    response
+    Response::retryable_503(error_body(
+        "overloaded",
+        "work queue is full; retry after the suggested delay",
+    ))
 }
 
-fn shutting_down_response() -> RouteResponse {
-    RouteResponse::json(
+fn shutting_down_response() -> Response {
+    Response::json(
         503,
         error_body("shutting_down", "the service is shutting down"),
     )
 }
 
-fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
-    if let Some(plan) = &shared.fault {
-        if plan.fires(FaultSite::Overload) {
-            shared.metrics.fault(FaultSite::Overload);
-            // Indistinguishable from real backpressure on the wire:
-            // clients must treat it as the retryable 503 it claims to be.
-            return overloaded(shared);
-        }
+fn handle_experiments(shared: &Shared, body: &[u8]) -> Response {
+    if shared.fires(FaultSite::Overload) {
+        // Indistinguishable from real backpressure on the wire:
+        // clients must treat it as the retryable 503 it claims to be.
+        return overloaded(shared);
     }
     let Ok(text) = std::str::from_utf8(body) else {
         return bad_request(
@@ -647,7 +428,7 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
     // with the cause, so clients can tell a retryable queue-full from a
     // terminal shutdown refusal.
     if let Err(refused) = shared.pool.submit_batch(jobs) {
-        let cause = if shared.shutting_down() {
+        let cause = if shared.service.shutting_down() {
             CellError::ShuttingDown
         } else {
             CellError::Overloaded
@@ -675,7 +456,7 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
                         .metrics
                         .rejected_timeout
                         .fetch_add(1, Ordering::Relaxed);
-                    return RouteResponse::json(
+                    return Response::json(
                         504,
                         error_body(
                             "timeout",
@@ -690,7 +471,7 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
             Err(CellError::Overloaded) => return overloaded(shared),
             Err(CellError::Failed(message)) => rendered.push(render_cell_error(&key, message)),
             Err(CellError::Panicked(message)) => {
-                return RouteResponse::json(
+                return Response::json(
                     500,
                     error_body(
                         "cell_panicked",
@@ -703,10 +484,10 @@ fn handle_experiments(shared: &Arc<Shared>, body: &[u8]) -> RouteResponse {
     }
     let count = rendered.len();
     let body = Json::obj([("cells", Json::Arr(rendered)), ("count", Json::from(count))]).render();
-    RouteResponse::json(200, body)
+    Response::json(200, body)
 }
 
 enum Wait {
     Ready(Arc<CellOutcome>),
-    Slot(Arc<crate::pool::FlightSlot>),
+    Slot(Arc<FlightSlot<CellOutcome>>),
 }

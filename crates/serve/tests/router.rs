@@ -12,6 +12,7 @@
 //!    client connections reach a replica exactly once.
 
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpi::Runner;
 use tpi_serve::json::{parse, Json};
@@ -19,6 +20,7 @@ use tpi_serve::loadgen::post;
 use tpi_serve::router::{Router, RouterConfig};
 use tpi_serve::server::{ServeConfig, Server};
 use tpi_serve::wire::{render_cell, GridRequest};
+use tpi_serve::FaultPlan;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -160,7 +162,7 @@ fn identical_inflight_cells_are_forwarded_exactly_once() {
     // One slow replica, so the second client reliably arrives while the
     // first's cell is still in flight.
     let replica = Server::start(ServeConfig {
-        cell_delay: Duration::from_millis(500),
+        fault: Some(Arc::new(FaultPlan::parse("cell_latency=1:500").unwrap())),
         ..ServeConfig::default()
     })
     .unwrap();

@@ -6,6 +6,8 @@
 //! single-flight deduplication must never change the answer. The
 //! remaining tests pin the robustness paths: backpressure → 503,
 //! deadline → 504, malformed body → 400, and the discovery endpoints.
+//! The framing and shared-route tests run twice: against a replica, and
+//! against a router fronting one, since both answer those the same way.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -14,6 +16,7 @@ use std::time::Duration;
 use tpi::Runner;
 use tpi_serve::json::{parse, Json};
 use tpi_serve::loadgen::{self, get, post, LoadgenConfig, RetryPolicy};
+use tpi_serve::router::{Router, RouterConfig};
 use tpi_serve::server::{ServeConfig, Server};
 use tpi_serve::wire::{render_cell, GridRequest};
 use tpi_serve::FaultPlan;
@@ -25,6 +28,51 @@ fn start(config: ServeConfig) -> (Server, SocketAddr) {
     let addr = server.addr();
     assert_ne!(addr.port(), 0, "port 0 must resolve to a real port");
     (server, addr)
+}
+
+/// A replica on its own, or behind a router: the two fronts the shared
+/// HTTP routes and framing errors are pinned on.
+struct Front {
+    replica: Server,
+    router: Option<Router>,
+}
+
+impl Front {
+    fn start(routed: bool) -> Front {
+        let (replica, _) = start(ServeConfig::default());
+        let router = routed.then(|| {
+            Router::start(RouterConfig {
+                replicas: vec![replica.addr()],
+                ..RouterConfig::default()
+            })
+            .expect("bind an ephemeral port")
+        });
+        Front { replica, router }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.router
+            .as_ref()
+            .map_or_else(|| self.replica.addr(), Router::addr)
+    }
+
+    /// `POST /admin/shutdown` to the front wakes its
+    /// `wait_for_shutdown_request`.
+    fn shutdown_via_admin(self) {
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match &self.router {
+                Some(router) => router.wait_for_shutdown_request(),
+                None => self.replica.wait_for_shutdown_request(),
+            });
+            let bye = post(self.addr(), "/admin/shutdown", "", CLIENT_TIMEOUT).unwrap();
+            assert_eq!(bye.status, 200);
+            waiter.join().unwrap();
+        });
+        if let Some(router) = self.router {
+            router.shutdown();
+        }
+        self.replica.shutdown();
+    }
 }
 
 /// What the server must return for `body`: every cell computed by a
@@ -158,7 +206,7 @@ fn a_missed_deadline_is_a_504() {
     let (server, addr) = start(ServeConfig {
         workers: 1,
         request_timeout: Duration::from_millis(50),
-        cell_delay: Duration::from_millis(400),
+        fault: Some(Arc::new(FaultPlan::parse("cell_latency=1:400").unwrap())),
         ..ServeConfig::default()
     });
     let response = post(
@@ -208,53 +256,65 @@ fn malformed_bodies_are_structured_400s() {
 
 #[test]
 fn discovery_health_and_routing() {
-    let (server, addr) = start(ServeConfig::default());
+    for routed in [false, true] {
+        let front = Front::start(routed);
+        let addr = front.addr();
 
-    let kernels = get(addr, "/v1/kernels", CLIENT_TIMEOUT).unwrap();
-    assert_eq!(kernels.status, 200);
-    let body = String::from_utf8(kernels.body).unwrap();
-    assert!(body.contains("FLO52") && body.contains("OCEAN"), "{body}");
+        let kernels = get(addr, "/v1/kernels", CLIENT_TIMEOUT).unwrap();
+        assert_eq!(kernels.status, 200);
+        let body = String::from_utf8(kernels.body).unwrap();
+        assert!(body.contains("FLO52") && body.contains("OCEAN"), "{body}");
+        let direct = get(front.replica.addr(), "/v1/kernels", CLIENT_TIMEOUT).unwrap();
+        assert_eq!(body.as_bytes(), direct.body, "routed {routed}");
 
-    let schemes = get(addr, "/v1/schemes", CLIENT_TIMEOUT).unwrap();
-    assert_eq!(schemes.status, 200);
-    let body = String::from_utf8(schemes.body).unwrap();
-    assert!(body.contains("TPI") && body.contains("HW"), "{body}");
-    // Metadata objects, not bare labels: every entry carries the scheme's
-    // registry identity and storage cost.
-    let doc = parse(&body).unwrap();
-    let items = doc.get("schemes").and_then(Json::as_array).unwrap();
-    for item in items {
-        for field in [
-            "id",
-            "label",
-            "description",
-            "paper_main",
-            "storage_bits_per_word",
-        ] {
-            assert!(item.get(field).is_some(), "missing {field}: {body}");
+        let schemes = get(addr, "/v1/schemes", CLIENT_TIMEOUT).unwrap();
+        assert_eq!(schemes.status, 200);
+        let body = String::from_utf8(schemes.body).unwrap();
+        assert!(body.contains("TPI") && body.contains("HW"), "{body}");
+        let direct = get(front.replica.addr(), "/v1/schemes", CLIENT_TIMEOUT).unwrap();
+        assert_eq!(body.as_bytes(), direct.body, "routed {routed}");
+        // Metadata objects, not bare labels: every entry carries the
+        // scheme's registry identity and storage cost.
+        let doc = parse(&body).unwrap();
+        let items = doc.get("schemes").and_then(Json::as_array).unwrap();
+        for item in items {
+            for field in [
+                "id",
+                "label",
+                "description",
+                "paper_main",
+                "storage_bits_per_word",
+            ] {
+                assert!(item.get(field).is_some(), "missing {field}: {body}");
+            }
         }
+        assert!(
+            items
+                .iter()
+                .any(|s| s.get("id").and_then(Json::as_str) == Some("tardis")),
+            "{body}"
+        );
+
+        let health = get(addr, "/healthz", CLIENT_TIMEOUT).unwrap();
+        assert_eq!(health.status, 200);
+        let doc = parse(std::str::from_utf8(&health.body).unwrap()).unwrap();
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
+        let sized = if routed {
+            "healthy_replicas"
+        } else {
+            "workers"
+        };
+        assert!(doc.get(sized).and_then(Json::as_u64).unwrap() >= 1);
+
+        // Wrong method on a known path vs unknown path.
+        assert_eq!(
+            get(addr, "/v1/experiments", CLIENT_TIMEOUT).unwrap().status,
+            405
+        );
+        assert_eq!(get(addr, "/nope", CLIENT_TIMEOUT).unwrap().status, 404);
+
+        front.shutdown_via_admin();
     }
-    assert!(
-        items
-            .iter()
-            .any(|s| s.get("id").and_then(Json::as_str) == Some("tardis")),
-        "{body}"
-    );
-
-    let health = get(addr, "/healthz", CLIENT_TIMEOUT).unwrap();
-    assert_eq!(health.status, 200);
-    let doc = parse(std::str::from_utf8(&health.body).unwrap()).unwrap();
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-    assert!(doc.get("workers").and_then(Json::as_u64).unwrap() >= 1);
-
-    // Wrong method on a known path vs unknown path.
-    assert_eq!(
-        get(addr, "/v1/experiments", CLIENT_TIMEOUT).unwrap().status,
-        405
-    );
-    assert_eq!(get(addr, "/nope", CLIENT_TIMEOUT).unwrap().status, 404);
-
-    server.shutdown();
 }
 
 /// The `error.code` of a structured error response.
@@ -272,10 +332,9 @@ fn a_panicking_cell_fails_every_waiter_with_a_500_then_recomputes() {
     // Exactly the first computation panics; the artificial delay holds
     // the cell in flight long enough for concurrent identical requests
     // to join the one doomed flight.
-    let plan = Arc::new(FaultPlan::parse("seed=1,worker_panic=1@1").unwrap());
+    let plan = Arc::new(FaultPlan::parse("seed=1,worker_panic=1@1,cell_latency=1:150").unwrap());
     let (server, addr) = start(ServeConfig {
         workers: 1,
-        cell_delay: Duration::from_millis(150),
         fault: Some(Arc::clone(&plan)),
         ..ServeConfig::default()
     });
@@ -318,38 +377,42 @@ fn garbage_bytes_get_a_400_or_a_close_and_the_server_survives() {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    let (server, addr) = start(ServeConfig::default());
-    let payloads: [&[u8]; 3] = [
-        b"THIS IS NOT HTTP\r\n\r\n",
-        b"GET /healthz HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
-        b"\x00\xff\x00\xff\r\n\r\n",
-    ];
-    for payload in payloads {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream.write_all(payload).unwrap();
-        let mut raw = Vec::new();
-        // The server either answers a structured 400 and closes, or (for
-        // byte soup it cannot frame) just closes. It must never hang.
-        let _ = stream.read_to_end(&mut raw);
-        if !raw.is_empty() {
-            let head = String::from_utf8_lossy(&raw);
-            assert!(head.starts_with("HTTP/1.1 4"), "{head}");
+    for routed in [false, true] {
+        let front = Front::start(routed);
+        let addr = front.addr();
+        let payloads: [&[u8]; 3] = [
+            b"THIS IS NOT HTTP\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
+            b"\x00\xff\x00\xff\r\n\r\n",
+        ];
+        for payload in payloads {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(payload).unwrap();
+            let mut raw = Vec::new();
+            // The server either answers a structured 400 and closes, or
+            // (for byte soup it cannot frame) just closes. It must never
+            // hang.
+            let _ = stream.read_to_end(&mut raw);
+            if !raw.is_empty() {
+                let head = String::from_utf8_lossy(&raw);
+                assert!(head.starts_with("HTTP/1.1 4"), "routed {routed}: {head}");
+            }
         }
+        // The handler threads died with their connections, not the
+        // service: a normal request still works.
+        let ok = post(
+            addr,
+            "/v1/experiments",
+            r#"{"kernels":["FLO52"]}"#,
+            CLIENT_TIMEOUT,
+        )
+        .unwrap();
+        assert_eq!(ok.status, 200, "routed {routed}");
+        front.shutdown_via_admin();
     }
-    // The handler threads died with their connections, not the service:
-    // a normal request still works.
-    let ok = post(
-        addr,
-        "/v1/experiments",
-        r#"{"kernels":["FLO52"]}"#,
-        CLIENT_TIMEOUT,
-    )
-    .unwrap();
-    assert_eq!(ok.status, 200);
-    server.shutdown();
 }
 
 #[test]
@@ -390,10 +453,9 @@ fn shutdown_under_load_answers_every_queued_request() {
     // requested) right after its first cell: the two cells left in the
     // queue have no worker to drain them, and the waiting request must
     // still get a terminal structured 503 before the final stats line.
-    let plan = Arc::new(FaultPlan::parse("seed=5,worker_exit=1@1").unwrap());
+    let plan = Arc::new(FaultPlan::parse("seed=5,worker_exit=1@1,cell_latency=1:300").unwrap());
     let (server, addr) = start(ServeConfig {
         workers: 1,
-        cell_delay: Duration::from_millis(300),
         fault: Some(plan),
         ..ServeConfig::default()
     });
