@@ -46,7 +46,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::experiment::ExperimentResult;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -129,6 +129,31 @@ struct ArtifactStore {
     programs: HashMap<ProgramKey, Arc<Program>>,
     markings: HashMap<MarkingKey, Arc<Marking>>,
     traces: HashMap<TraceKey, Arc<Trace>>,
+    /// The memoized trace keys, least recently used first; kept only under
+    /// [`Runner::with_trace_limit`].
+    trace_use: VecDeque<TraceKey>,
+}
+
+impl ArtifactStore {
+    /// Marks `used` (in order) as the most recently used traces, then
+    /// drops the least recently used ones beyond `limit`.
+    fn keep_recent_traces(&mut self, used: impl IntoIterator<Item = TraceKey>, limit: usize) {
+        for key in used {
+            // A trace another call dropped since this one found it.
+            if !self.traces.contains_key(&key) {
+                continue;
+            }
+            if let Some(at) = self.trace_use.iter().position(|k| *k == key) {
+                self.trace_use.remove(at);
+            }
+            self.trace_use.push_back(key);
+        }
+        while self.trace_use.len() > limit {
+            if let Some(old) = self.trace_use.pop_front() {
+                self.traces.remove(&old);
+            }
+        }
+    }
 }
 
 /// Counters describing how much work the cache avoided.
@@ -266,6 +291,9 @@ struct StatCells {
 pub struct Runner {
     threads: usize,
     memoize: bool,
+    /// At most this many traces stay memoized (see
+    /// [`Runner::with_trace_limit`]); `None` keeps every trace.
+    trace_limit: Option<usize>,
     /// Engine shards per simulated cell (see [`Runner::with_sim_shards`]).
     /// Purely an execution knob: results are bit-identical for any value.
     sim_shards: usize,
@@ -311,6 +339,7 @@ impl Runner {
         Runner {
             threads: threads.max(1),
             memoize: true,
+            trace_limit: None,
             sim_shards,
             store: Mutex::new(ArtifactStore::default()),
             stats: StatCells::default(),
@@ -348,6 +377,22 @@ impl Runner {
     #[must_use]
     pub fn without_memoization(mut self) -> Self {
         self.memoize = false;
+        self
+    }
+
+    /// Keeps at most `traces` interpreted traces memoized, dropping the
+    /// least recently used first (`0` is clamped to 1). Programs and
+    /// markings stay memoized without a bound: their keys are few, while
+    /// every new seed or processor count is a new trace. Results are
+    /// bit-identical for any limit.
+    ///
+    /// For long-lived runners that cache finished cells themselves: a
+    /// `tpi-serve` replica answers repeated cells from its result cache,
+    /// so it needs traces only while the schemes of one grid share them,
+    /// not for every seed it was ever sent.
+    #[must_use]
+    pub fn with_trace_limit(mut self, traces: usize) -> Self {
+        self.trace_limit = Some(traces.max(1));
         self
     }
 
@@ -553,29 +598,13 @@ impl Runner {
             self.stats.traces_built.fetch_add(n, Ordering::Relaxed);
             return prepared.into_iter().collect();
         }
-        self.build_artifacts(cells)?;
-        let store = self.store();
-        Ok(cells
-            .iter()
-            .map(|cell| {
-                let pkey = cell.source.key();
-                let copts = cell.config.compiler_options();
-                let program = Arc::clone(&store.programs[&pkey]);
-                let marking = Arc::clone(&store.markings[&(pkey.clone(), copts)]);
-                let trace = Arc::clone(&store.traces[&(pkey, copts, cell.config.trace_options())]);
-                PreparedCell {
-                    spec: cell.clone(),
-                    program,
-                    marking,
-                    trace,
-                }
-            })
-            .collect())
+        self.build_artifacts(cells)
     }
 
     /// Phases 1–3 of [`execute`](Self::execute): fills the artifact store
-    /// with every program, marking, and trace `cells` needs.
-    fn build_artifacts(&self, cells: &[RunSpec]) -> Result<(), TraceError> {
+    /// with every program, marking, and trace `cells` needs, and returns
+    /// each cell's artifacts in submission order.
+    fn build_artifacts(&self, cells: &[RunSpec]) -> Result<Vec<PreparedCell>, TraceError> {
         let _prepare_scope = self.prof.scope("prepare");
         // Phase 1 — programs. Unique keys in first-appearance order keep
         // the whole pipeline deterministic.
@@ -649,18 +678,29 @@ impl Runner {
             }
         }
 
-        // Phase 3 — traces (scheme- and cache-geometry-independent).
+        // Phase 3 — traces (scheme- and cache-geometry-independent). A
+        // hit is taken out of the store under the lock that finds it, so a
+        // concurrent call trimming a bounded store cannot drop it first.
+        let trace_key = |cell: &RunSpec| -> TraceKey {
+            (
+                cell.source.key(),
+                cell.config.compiler_options(),
+                cell.config.trace_options(),
+            )
+        };
+        let mut found: HashMap<TraceKey, Arc<Trace>> = HashMap::new();
         let mut trace_jobs: Vec<(TraceKey, Arc<Program>, Arc<Marking>)> = Vec::new();
         {
             let store = self.store();
             for cell in cells {
-                let key = (
-                    cell.source.key(),
-                    cell.config.compiler_options(),
-                    cell.config.trace_options(),
-                );
-                if store.traces.contains_key(&key) || trace_jobs.iter().any(|(k, ..)| *k == key) {
+                let key = trace_key(cell);
+                if found.contains_key(&key) || trace_jobs.iter().any(|(k, ..)| *k == key) {
                     self.stats.trace_hits.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                if let Some(trace) = store.traces.get(&key) {
+                    self.stats.trace_hits.fetch_add(1, Ordering::Relaxed);
+                    found.insert(key, Arc::clone(trace));
                     continue;
                 }
                 let program = Arc::clone(&store.programs[&key.0]);
@@ -680,13 +720,37 @@ impl Runner {
         for trace in traced.iter().filter_map(|t| t.as_ref().ok()) {
             self.harvest_trace(trace);
         }
-        {
-            let mut store = self.store();
-            for ((key, ..), trace) in trace_jobs.into_iter().zip(traced) {
-                store.traces.insert(key, trace?);
+        let mut store = self.store();
+        let mut first_error = None;
+        for ((key, ..), trace) in trace_jobs.into_iter().zip(traced) {
+            match trace {
+                Ok(trace) => {
+                    store.traces.insert(key.clone(), Arc::clone(&trace));
+                    found.insert(key, trace);
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
             }
         }
-        Ok(())
+        if let Some(limit) = self.trace_limit {
+            store.keep_recent_traces(cells.iter().map(trace_key), limit);
+        }
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        Ok(cells
+            .iter()
+            .map(|cell| {
+                let key = trace_key(cell);
+                PreparedCell {
+                    spec: cell.clone(),
+                    program: Arc::clone(&store.programs[&key.0]),
+                    marking: Arc::clone(&store.markings[&(key.0.clone(), key.1)]),
+                    trace: Arc::clone(&found[&key]),
+                }
+            })
+            .collect())
     }
 
     /// Executes `cells`, returning results in submission order.
@@ -694,41 +758,34 @@ impl Runner {
         if !self.memoize {
             return self.execute_fresh(cells);
         }
-        self.build_artifacts(cells)?;
+        let prepared = self.build_artifacts(cells)?;
 
         // Phase 4 — simulate. Identical cells are computed once and
         // copied; distinct cells fan out across the worker threads.
-        let mut unique: Vec<(&RunSpec, Arc<Trace>, Arc<Marking>)> = Vec::new();
+        let mut unique: Vec<&PreparedCell> = Vec::new();
         let mut cell_to_unique: Vec<usize> = Vec::with_capacity(cells.len());
-        {
-            let store = self.store();
-            for cell in cells {
-                let same = unique.iter().position(|(u, ..)| {
-                    u.config == cell.config && u.source.key() == cell.source.key()
-                });
-                if let Some(i) = same {
-                    self.stats.cells_deduped.fetch_add(1, Ordering::Relaxed);
-                    cell_to_unique.push(i);
-                    continue;
-                }
-                let pkey = cell.source.key();
-                let copts = cell.config.compiler_options();
-                let marking = Arc::clone(&store.markings[&(pkey.clone(), copts)]);
-                let trace = Arc::clone(&store.traces[&(pkey, copts, cell.config.trace_options())]);
-                cell_to_unique.push(unique.len());
-                unique.push((cell, trace, marking));
+        for cell in &prepared {
+            let same = unique.iter().position(|u| {
+                u.spec.config == cell.spec.config && u.spec.source.key() == cell.spec.source.key()
+            });
+            if let Some(i) = same {
+                self.stats.cells_deduped.fetch_add(1, Ordering::Relaxed);
+                cell_to_unique.push(i);
+                continue;
             }
+            cell_to_unique.push(unique.len());
+            unique.push(cell);
         }
         self.stats
             .cells_simulated
             .fetch_add(unique.len() as u64, Ordering::Relaxed);
         let simulated = {
             let _s = self.prof.scope("simulate");
-            parallel_map(self.threads, &unique, |(cell, trace, marking)| {
+            parallel_map(self.threads, &unique, |cell| {
                 simulate_cell(
-                    &cell.config,
-                    trace.as_ref(),
-                    marking.as_ref(),
+                    &cell.spec.config,
+                    cell.trace.as_ref(),
+                    cell.marking.as_ref(),
                     self.sim_shards,
                 )
             })
@@ -1264,6 +1321,72 @@ mod tests {
         assert_eq!(stats.traces_built, 3);
         // The program itself was only ever built once.
         assert_eq!(stats.programs_built, 1);
+    }
+
+    fn seeded(seed: u64) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::paper();
+        cfg.seed = seed;
+        cfg
+    }
+
+    #[test]
+    fn a_trace_limit_drops_the_least_recently_used_trace() {
+        let runner = Runner::serial().with_trace_limit(2);
+        for seed in [1, 2, 3] {
+            runner
+                .run_kernel(Kernel::Flo52, Scale::Test, &seeded(seed))
+                .unwrap();
+        }
+        assert_eq!(runner.stats().traces_built, 3);
+        // Seeds 2 and 3 stay memoized; seed 1 was dropped.
+        runner
+            .run_kernel(Kernel::Flo52, Scale::Test, &seeded(2))
+            .unwrap();
+        assert_eq!(runner.stats().trace_hits, 1);
+        let again = runner
+            .run_kernel(Kernel::Flo52, Scale::Test, &seeded(1))
+            .unwrap();
+        // Seed 3 is now the least recently used, so it goes next.
+        runner
+            .run_kernel(Kernel::Flo52, Scale::Test, &seeded(3))
+            .unwrap();
+        let stats = runner.stats();
+        assert_eq!((stats.traces_built, stats.trace_hits), (5, 1));
+        // Programs and markings are not bounded.
+        assert_eq!((stats.programs_built, stats.markings_built), (1, 1));
+        let fresh = run_kernel(Kernel::Flo52, Scale::Test, &seeded(1)).unwrap();
+        assert_eq!(again.sim.total_cycles, fresh.sim.total_cycles);
+        assert_eq!(again.sim.agg, fresh.sim.agg);
+        assert_eq!(again.trace, fresh.trace);
+    }
+
+    #[test]
+    fn a_grid_wider_than_the_trace_limit_keeps_every_cells_trace() {
+        // Two kernels' traces in one call under a limit of one: the trim at
+        // the end of the call drops one of them, yet every cell keeps the
+        // trace it was built with, and each kernel's schemes share one.
+        let grid = |runner: &Runner| {
+            runner
+                .grid()
+                .kernels([Kernel::Flo52, Kernel::Ocean])
+                .scale(Scale::Test)
+                .schemes(registry::global().main_schemes())
+                .run()
+                .unwrap()
+        };
+        let bounded = Runner::new().with_trace_limit(1);
+        let got = grid(&bounded);
+        let stats = bounded.stats();
+        assert_eq!((stats.traces_built, stats.trace_hits), (2, 6));
+        let want = grid(&Runner::new());
+        for kernel in [Kernel::Flo52, Kernel::Ocean] {
+            for scheme in registry::global().main_schemes() {
+                let (g, w) = (got.get(kernel, scheme), want.get(kernel, scheme));
+                assert_eq!(g.sim.total_cycles, w.sim.total_cycles);
+                assert_eq!(g.sim.agg, w.sim.agg);
+                assert_eq!(g.trace, w.trace);
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,16 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-/// Hard limits on request framing.
+/// Hard limits on message framing, for requests and responses alike:
+/// the longest request, status or header line.
 pub const MAX_HEADER_LINE: usize = 8 * 1024;
-/// Maximum number of header lines per request.
+/// Maximum number of header lines per message.
 pub const MAX_HEADERS: usize = 64;
+/// Largest `content-length` a response may declare. The largest grid a
+/// replica answers by default, 1024 cells, renders to about 300 KB; a
+/// peer that declares more than this is broken, and its body is never
+/// allocated.
+pub const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -41,7 +47,7 @@ pub enum HttpError {
     Io(io::Error),
 }
 
-fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -183,8 +189,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response. `extra_headers` lets a handler attach headers
-/// like `Retry-After`.
+/// Writes one response, head and body in a single write: a body sent
+/// after its head in a second write would wait out the peer's delayed
+/// ACK. `extra_headers` lets a handler attach headers like
+/// `Retry-After`.
 ///
 /// # Errors
 ///
@@ -213,8 +221,9 @@ pub fn write_response(
     } else {
         "connection: close\r\n\r\n"
     });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -240,8 +249,28 @@ impl Response {
     }
 }
 
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Reads one status or header line into `line`, terminator included;
+/// `Ok(0)` at end of stream. A line longer than [`MAX_HEADER_LINE`] is
+/// `InvalidData`, and no more than that is buffered.
+fn read_response_line(reader: &mut BufReader<&TcpStream>, line: &mut String) -> io::Result<usize> {
+    line.clear();
+    let read = (&mut *reader)
+        .take(MAX_HEADER_LINE as u64 + 2)
+        .read_line(line)?;
+    if line.trim_end_matches(['\r', '\n']).len() > MAX_HEADER_LINE {
+        return Err(invalid_data("response line too long".into()));
+    }
+    Ok(read)
+}
+
 /// Reads one response off a client connection (keep-alive aware: reads
-/// exactly `content-length` bytes).
+/// exactly `content-length` bytes). The peer is not trusted: a line past
+/// [`MAX_HEADER_LINE`], more than [`MAX_HEADERS`] header lines or a
+/// `content-length` past [`MAX_RESPONSE_BODY`] is `InvalidData`.
 ///
 /// # Errors
 ///
@@ -249,8 +278,7 @@ impl Response {
 pub fn read_response(reader: &mut BufReader<&TcpStream>) -> io::Result<Response> {
     let mut line = String::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if read_response_line(reader, &mut line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed before status line",
@@ -260,28 +288,33 @@ pub fn read_response(reader: &mut BufReader<&TcpStream>) -> io::Result<Response>
             .split(' ')
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line {line:?}"),
-                )
-            })?;
+            .ok_or_else(|| invalid_data(format!("bad status line {line:?}")))?;
         // Interim 1xx responses (100 Continue) precede the real one.
         let interim = (100..200).contains(&status);
         let mut content_length = 0usize;
         let mut headers = Vec::new();
+        let mut header_lines = 0;
         loop {
-            line.clear();
-            reader.read_line(&mut line)?;
+            read_response_line(reader, &mut line)?;
             let trimmed = line.trim_end();
             if trimmed.is_empty() {
                 break;
             }
+            header_lines += 1;
+            if header_lines > MAX_HEADERS {
+                return Err(invalid_data("too many headers".into()));
+            }
             if let Some((name, value)) = trimmed.split_once(':') {
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
+                    content_length = value
+                        .trim()
+                        .parse()
+                        .map_err(|_| invalid_data("bad content-length".into()))?;
+                    if content_length > MAX_RESPONSE_BODY {
+                        return Err(invalid_data(format!(
+                            "content-length {content_length} exceeds {MAX_RESPONSE_BODY}"
+                        )));
+                    }
                 }
                 headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
             }
@@ -300,8 +333,81 @@ pub fn read_response(reader: &mut BufReader<&TcpStream>) -> io::Result<Response>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A `Write` that counts the `write` calls a message takes.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What `read_response` makes of `wire`, sent by a loopback peer that
+    /// then closes.
+    fn read_from_peer(wire: &[u8]) -> io::Result<Response> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let client = TcpStream::connect(listener.local_addr()?)?;
+        let (mut server, _) = listener.accept()?;
+        server.write_all(wire)?;
+        drop(server);
+        read_response(&mut BufReader::new(&client))
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(
+            &mut out,
+            200,
+            "application/json",
+            b"{\"cells\":[]}",
+            &[("retry-after", "1".to_owned())],
+            true,
+        )
+        .unwrap();
+        assert_eq!(out.writes, 1, "head and body leave in one write");
+        assert!(out.bytes.ends_with(b"\r\n\r\n{\"cells\":[]}"));
+    }
+
+    #[test]
+    fn read_response_bounds_what_the_peer_declares() {
+        let ok = read_from_peer(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}").unwrap();
+        assert_eq!((ok.status, ok.body.as_slice()), (200, &b"{}"[..]));
+
+        let huge = b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n";
+        let long_line = format!(
+            "HTTP/1.1 200 OK\r\nx: {}\r\n\r\n",
+            "a".repeat(MAX_HEADER_LINE)
+        );
+        let many = format!(
+            "HTTP/1.1 200 OK\r\n{}\r\n",
+            "x: y\r\n".repeat(MAX_HEADERS + 1)
+        );
+        for wire in [&huge[..], long_line.as_bytes(), many.as_bytes()] {
+            let err = read_from_peer(wire).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        let at_caps = format!(
+            "HTTP/1.1 200 OK\r\nx: {}\r\n{}content-length: 0\r\n\r\n",
+            "a".repeat(MAX_HEADER_LINE - 3),
+            "x: y\r\n".repeat(MAX_HEADERS - 2)
+        );
+        assert_eq!(read_from_peer(at_caps.as_bytes()).unwrap().status, 200);
+    }
 
     #[test]
     fn response_writing_is_well_formed() {

@@ -24,7 +24,7 @@
 use crate::fault::splitmix64;
 use crate::http::{read_response, Response};
 use crate::json::{parse, Json};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -293,6 +293,24 @@ impl Tally {
     }
 }
 
+/// Writes one request, head and body in a single write (see
+/// [`crate::http::write_response`] for why).
+pub(crate) fn write_request(
+    out: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> io::Result<()> {
+    let mut message = format!(
+        "{method} {path} HTTP/1.1\r\nhost: tpi-serve\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    message.extend_from_slice(body.as_bytes());
+    out.write_all(&message)?;
+    out.flush()
+}
+
 /// Sends one request on an open keep-alive connection and reads the
 /// response.
 ///
@@ -307,13 +325,7 @@ pub fn request_on(
     body: &str,
 ) -> io::Result<Response> {
     let mut out = stream;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: tpi-serve\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    io::Write::write_all(&mut out, head.as_bytes())?;
-    io::Write::write_all(&mut out, body.as_bytes())?;
-    io::Write::flush(&mut out)?;
+    write_request(&mut out, method, path, body)?;
     read_response(reader)
 }
 
@@ -548,6 +560,15 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
 mod tests {
     use super::*;
     use crate::wire::error_body;
+
+    #[test]
+    fn a_request_is_one_write() {
+        let mut out = crate::http::tests::CountingWriter::default();
+        write_request(&mut out, "POST", "/v1/experiments", templates()[0]).unwrap();
+        assert_eq!(out.writes, 1, "head and body leave in one write");
+        assert!(out.bytes.starts_with(b"POST /v1/experiments HTTP/1.1\r\n"));
+        assert!(out.bytes.ends_with(templates()[0].as_bytes()));
+    }
 
     #[test]
     fn percentiles_use_nearest_rank() {

@@ -30,6 +30,16 @@
 //!    replica mid-burst therefore costs latency, never correctness:
 //!    `tpi-chaos --router` asserts exactly zero failed client requests.
 //!
+//! Forwards travel on pooled keep-alive connections with `TCP_NODELAY`
+//! set: each replica keeps a stack of idle ones, a forward borrows one
+//! (or connects when the stack is empty) and returns it after a complete
+//! exchange unless the replica answered `connection: close`. A borrowed
+//! connection the replica closed while it sat idle (a restart, a
+//! shutdown) fails before its status line arrives — the write fails, or
+//! the stream ends or is reset. That is no answer from the replica, so
+//! the forward goes once more on a fresh connection, and the retry counts
+//! as neither an attempt nor a failover; a timeout still counts.
+//!
 //! Identical in-flight cells are deduplicated *globally* at the router
 //! (one upstream forward no matter how many clients ask), which is
 //! strictly stronger than each replica's own single-flight table; both
@@ -44,13 +54,15 @@
 
 use crate::disk::fnv1a;
 use crate::fault::splitmix64;
+use crate::http::{self, is_timeout, read_response};
 use crate::json::{parse, Json};
-use crate::loadgen::{self, RetryPolicy};
+use crate::loadgen::{self, write_request, RetryPolicy};
 use crate::pool::FlightSlot;
 use crate::service::{Handler, Response, Service};
 use crate::wire::{error_body, CellKey, GridRequest};
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::io::{self, BufRead, BufReader};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -146,12 +158,72 @@ impl std::fmt::Display for RouterStats {
     }
 }
 
-/// One replica's dynamic health state. `last_ok` starts at router boot
-/// so a fresh fleet gets a full lease of grace before the first verdict.
+/// One replica's dynamic health state and its idle connections.
+/// `last_ok` starts at router boot so a fresh fleet gets a full lease of
+/// grace before the first verdict.
 struct Replica {
     addr: SocketAddr,
     healthy: AtomicBool,
     last_ok: Mutex<Instant>,
+    /// Idle keep-alive connections, the most recently returned on top.
+    idle: Mutex<Vec<TcpStream>>,
+}
+
+impl Replica {
+    /// Sends one single-cell request to this replica and reads its
+    /// answer, on an idle pooled connection if there is one. A pooled
+    /// connection the replica has closed is dropped, and the request goes
+    /// once more on a fresh connection (see the module docs).
+    fn forward(&self, body: &str, timeout: Duration) -> io::Result<http::Response> {
+        let pooled = lock_unpoisoned(&self.idle).pop();
+        if let Some(stream) = pooled {
+            if let Some(response) = self.exchange(stream, body, timeout)? {
+                return Ok(response);
+            }
+        }
+        let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
+        stream.set_nodelay(true)?;
+        self.exchange(stream, body, timeout)?.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::ConnectionReset,
+                "the replica closed the connection without answering",
+            )
+        })
+    }
+
+    /// One request/response exchange on `stream`, which goes back on the
+    /// idle stack only after a complete response that keeps it alive.
+    /// `Ok(None)` means the connection was already closed: the write
+    /// failed, or the stream ended or was reset before the first response
+    /// byte. A timeout is an error.
+    fn exchange(
+        &self,
+        stream: TcpStream,
+        body: &str,
+        timeout: Duration,
+    ) -> io::Result<Option<http::Response>> {
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        let mut reader = BufReader::new(&stream);
+        let answered = write_request(&mut &stream, "POST", "/v1/experiments", body)
+            .and_then(|()| reader.fill_buf().map(|bytes| !bytes.is_empty()));
+        match answered {
+            Ok(true) => {}
+            Err(e) if is_timeout(&e) => return Err(e),
+            Ok(false) | Err(_) => return Ok(None),
+        }
+        let response = read_response(&mut reader)?;
+        let close = response
+            .header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        // Bytes past the response would be read as the next exchange's
+        // answer, so such a connection is not reused.
+        if !close && reader.buffer().is_empty() {
+            drop(reader);
+            lock_unpoisoned(&self.idle).push(stream);
+        }
+        Ok(Some(response))
+    }
 }
 
 /// How one cell's forward resolved. `Cell` is the happy path: the
@@ -285,6 +357,7 @@ impl Router {
                         addr,
                         healthy: AtomicBool::new(true),
                         last_ok: Mutex::new(now),
+                        idle: Mutex::new(Vec::new()),
                     })
                     .collect(),
                 ring: Ring::new(&config.replicas),
@@ -657,7 +730,7 @@ fn forward_cell(shared: &RouterShared, key: &CellKey, deadline: Instant) -> Cell
             .min(deadline.saturating_duration_since(Instant::now()))
             .max(Duration::from_millis(10));
         let mut suggested = None;
-        match loadgen::post(replica.addr, "/v1/experiments", &body, timeout) {
+        match replica.forward(&body, timeout) {
             Ok(response) if response.status == 200 => {
                 if let Some(cell) = extract_single_cell(&response.body) {
                     return CellReply::Cell(cell);
@@ -665,7 +738,7 @@ fn forward_cell(shared: &RouterShared, key: &CellKey, deadline: Instant) -> Cell
                 // A 200 with an unusable body is a replica bug; treat it
                 // like a failed attempt and fail over.
             }
-            Ok(response) if response.status >= 500 || response.status == 503 => {
+            Ok(response) if response.status >= 500 => {
                 // Retryable upstream trouble (overload, shutdown, panic):
                 // honor a suggested delay, then fail over.
                 suggested = response
@@ -682,8 +755,8 @@ fn forward_cell(shared: &RouterShared, key: &CellKey, deadline: Instant) -> Cell
                 };
             }
             Err(_) => {
-                // Connect refused / reset / timed out: the classic
-                // killed-replica signature. Fail over.
+                // Connect refused / reset / timed out / a malformed
+                // answer: the classic killed-replica signature. Fail over.
             }
         }
         shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);

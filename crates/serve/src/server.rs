@@ -35,6 +35,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpi::Runner;
 
+/// Interpreted traces the replica's `Runner` keeps. `CellStore` answers
+/// repeated cells, so the memo only has to share a trace among the
+/// schemes of a grid (cells arrive kernel by kernel, at most a few
+/// distinct traces each), not keep one for every seed it was ever sent.
+const MEMO_TRACES: usize = 8;
+
 /// Everything tunable about one server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -151,7 +157,7 @@ impl Server {
     /// Fails if the address cannot be bound.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let shared = Service::start(&config.addr, config.max_body_bytes, |service| {
-            let runner = Arc::new(Runner::new());
+            let runner = Arc::new(Runner::new().with_trace_limit(MEMO_TRACES));
             let metrics = Arc::new(Metrics::default());
             let fault = config.fault.clone();
             let (disk, recovery) = match &config.cache_dir {

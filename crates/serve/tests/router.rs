@@ -10,13 +10,21 @@
 //!    response stays byte-identical to a fresh serial runner.
 //! 3. **Global single-flight.** Identical in-flight cells from different
 //!    client connections reach a replica exactly once.
+//!
+//! And the forwarding path under them: router→replica connections are
+//! pooled and reused, a pooled connection a restarted replica closed is
+//! replaced without a failover, and a replica whose answer declares an
+//! absurd body costs a failed attempt, never a wedged cell.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpi::Runner;
+use tpi_serve::http::read_request;
 use tpi_serve::json::{parse, Json};
-use tpi_serve::loadgen::post;
+use tpi_serve::loadgen::{get, post};
 use tpi_serve::router::{Router, RouterConfig};
 use tpi_serve::server::{ServeConfig, Server};
 use tpi_serve::wire::{render_cell, GridRequest};
@@ -65,6 +73,32 @@ fn metric_value(text: &str, name: &str) -> Option<f64> {
         let rest = rest.strip_prefix(' ')?;
         rest.trim().parse().ok()
     })
+}
+
+/// The `/metrics` page of a router or replica.
+fn metrics(addr: SocketAddr) -> String {
+    get(addr, "/metrics", CLIENT_TIMEOUT)
+        .map(|r| String::from_utf8_lossy(&r.body).into_owned())
+        .unwrap_or_default()
+}
+
+/// A replica impostor: until `stop` is set it answers every request on
+/// every connection, one connection at a time, with a head that declares
+/// a `content-length` of `u64::MAX`.
+fn serve_lies(listener: &TcpListener, stop: &AtomicBool) {
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        let Ok(stream) = stream else { continue };
+        let mut reader = BufReader::new(&stream);
+        while read_request(&mut reader, 1 << 20).is_ok() {
+            let head = b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n";
+            if (&stream).write_all(head).is_err() {
+                break;
+            }
+        }
+    }
 }
 
 #[test]
@@ -141,9 +175,7 @@ fn a_dead_replica_inside_its_lease_fails_over_byte_identically() {
         "failed-over responses stay byte-identical to a serial runner"
     );
 
-    let metrics = tpi_serve::loadgen::get(router.addr(), "/metrics", CLIENT_TIMEOUT)
-        .map(|r| String::from_utf8_lossy(&r.body).into_owned())
-        .unwrap_or_default();
+    let metrics = metrics(router.addr());
     assert!(
         metric_value(&metrics, "tpi_router_failovers_total").unwrap_or(0.0) > 0.0,
         "some cell must have failed over off the dead replica:\n{metrics}"
@@ -178,9 +210,7 @@ fn identical_inflight_cells_are_forwarded_exactly_once() {
     assert_eq!(second.status, 200);
     assert_eq!(first.body, second.body);
 
-    let metrics = tpi_serve::loadgen::get(router.addr(), "/metrics", CLIENT_TIMEOUT)
-        .map(|r| String::from_utf8_lossy(&r.body).into_owned())
-        .unwrap_or_default();
+    let metrics = metrics(router.addr());
     assert!(
         metric_value(&metrics, "tpi_router_cells_joined_total").unwrap_or(0.0) >= 1.0,
         "the follower must join the leader's in-flight slot:\n{metrics}"
@@ -192,4 +222,106 @@ fn identical_inflight_cells_are_forwarded_exactly_once() {
         stats.experiment_requests, 1,
         "the replica must see the deduplicated cell once: {stats:?}"
     );
+}
+
+#[test]
+fn sequential_forwards_reuse_a_pooled_replica_connection() {
+    let replica = Server::start(ServeConfig::default()).unwrap();
+    // One probe at boot, then none for the rest of the test: only
+    // forwards and scrapes open connections to the replica.
+    let router = Router::start(RouterConfig {
+        replicas: vec![replica.addr()],
+        probe_interval: Duration::from_secs(3600),
+        lease: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let connections =
+        || metric_value(&metrics(replica.addr()), "tpi_serve_connections_total").unwrap();
+
+    let before = connections();
+    let body = r#"{"kernels":["FLO52"],"schemes":["TPI"]}"#;
+    for _ in 0..32 {
+        let response = post(router.addr(), "/v1/experiments", body, CLIENT_TIMEOUT).unwrap();
+        assert_eq!(response.status, 200);
+    }
+    // The pooled connection, the second scrape, and perhaps the boot
+    // probe; one connection per forward would be 32 more.
+    let opened = connections() - before;
+    assert!(
+        opened <= 4.0,
+        "32 sequential forwards opened {opened} replica connections"
+    );
+
+    router.shutdown();
+    replica.shutdown();
+}
+
+#[test]
+fn a_restarted_replica_is_reached_without_a_failover() {
+    let replica = Server::start(ServeConfig::default()).unwrap();
+    let addr = replica.addr();
+    // A one-hour lease: the restart is never seen by the prober, so the
+    // next forward meets the pooled connection the old replica closed.
+    let router = start_router(vec![addr], Duration::from_secs(3600));
+    let body = r#"{"kernels":["FLO52"],"schemes":["TPI","HW"]}"#;
+    let expected = expected_response(&Runner::serial(), body);
+    let first = post(router.addr(), "/v1/experiments", body, CLIENT_TIMEOUT).unwrap();
+    assert_eq!(String::from_utf8_lossy(&first.body), expected);
+
+    let failovers =
+        || metric_value(&metrics(router.addr()), "tpi_router_failovers_total").unwrap_or(0.0);
+    let failovers_before = failovers();
+    replica.shutdown();
+    let restarted = Server::start(ServeConfig {
+        addr: addr.to_string(),
+        ..ServeConfig::default()
+    })
+    .expect("rebind the old replica's address");
+
+    let response = post(router.addr(), "/v1/experiments", body, CLIENT_TIMEOUT).unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        String::from_utf8_lossy(&response.body),
+        expected,
+        "the restarted replica answers byte-identically"
+    );
+    assert_eq!(
+        failovers(),
+        failovers_before,
+        "replacing a closed pooled connection is not a failover"
+    );
+
+    router.shutdown();
+    restarted.shutdown();
+}
+
+#[test]
+fn a_replica_declaring_a_huge_body_costs_an_attempt_not_a_wedged_cell() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    let (response, inflight, stats) = std::thread::scope(|scope| {
+        scope.spawn(|| serve_lies(&listener, &stop));
+        let router = start_router(vec![addr], Duration::from_secs(3600));
+        let response = post(
+            router.addr(),
+            "/v1/experiments",
+            r#"{"kernels":["FLO52"],"schemes":["TPI"]}"#,
+            CLIENT_TIMEOUT,
+        );
+        let inflight = router.inflight_cells();
+        let stats = router.shutdown();
+        stop.store(true, Ordering::Release);
+        // Wake the impostor's blocking accept so it sees `stop`.
+        let _ = TcpStream::connect(addr);
+        (response, inflight, stats)
+    });
+
+    let response = response.expect("the router must answer, not drop the connection");
+    let body = String::from_utf8_lossy(&response.body).into_owned();
+    assert_eq!(response.status, 503, "{body}");
+    assert!(body.contains("upstream_unavailable"), "{body}");
+    assert_eq!(inflight, 0, "the cell's in-flight slot must be released");
+    assert_eq!(stats.cells_unavailable, 1, "{stats:?}");
 }
