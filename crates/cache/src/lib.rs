@@ -4,7 +4,8 @@
 //!
 //! * [`cache`] — a set-associative cache with per-word valid bits,
 //!   per-word timetags, and per-line MSI state, serving TPI, SC, and the
-//!   directory schemes alike;
+//!   directory schemes alike; its lines live in one arena behind a flat
+//!   way index, so a warm cache fills and evicts without allocating;
 //! * [`timetag`] — the hardware epoch counter with the paper's two-phase
 //!   invalidation discipline for recycling finite timetags (and the
 //!   flush-on-wrap alternative, for the reset ablation);
@@ -14,15 +15,15 @@
 //! # Example
 //!
 //! ```
-//! use tpi_cache::{Cache, CacheConfig, Line, ResetStrategy, TagClock};
+//! use tpi_cache::{Cache, CacheConfig, ResetStrategy, TagClock};
 //! use tpi_mem::LineAddr;
 //!
 //! let mut clock = TagClock::new(8, ResetStrategy::TwoPhase);
 //! let mut cache = Cache::new(CacheConfig::paper_default());
-//! let mut line = Line::new(LineAddr(42), 4);
+//! let (line, victim) = cache.install(LineAddr(42));
+//! assert!(victim.is_none(), "an empty set displaces nothing");
 //! line.set_word_valid(0, true);
 //! line.set_timetag(0, clock.hw_tag());
-//! cache.insert(line);
 //! clock.advance();
 //! // Stamped one epoch ago: visible to a Time-Read of distance >= 1.
 //! let l = cache.peek(LineAddr(42)).unwrap();
@@ -36,6 +37,6 @@ pub mod cache;
 pub mod timetag;
 pub mod wbuffer;
 
-pub use cache::{Cache, CacheConfig, Line, LineState};
+pub use cache::{Cache, CacheConfig, Evicted, Line, LineState};
 pub use timetag::{ResetEvent, ResetStrategy, TagClock};
 pub use wbuffer::{WriteBuffer, WriteBufferKind, WriteBufferStats, WritePolicy};

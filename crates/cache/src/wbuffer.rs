@@ -8,8 +8,7 @@
 //! E12 ablation. At each epoch boundary the buffer must drain (weak
 //! consistency synchronization point).
 
-use std::collections::HashSet;
-use tpi_mem::WordAddr;
+use tpi_mem::{FastSet, WordAddr};
 
 /// Write policy of the HSCD caches.
 ///
@@ -72,7 +71,7 @@ pub struct WriteBufferStats {
 pub struct WriteBuffer {
     kind: WriteBufferKind,
     /// Outstanding distinct words (coalescing) or outstanding count (FIFO).
-    pending_set: HashSet<u64>,
+    pending_set: FastSet<u64>,
     pending_count: u64,
     stats: WriteBufferStats,
 }
@@ -83,7 +82,7 @@ impl WriteBuffer {
     pub fn new(kind: WriteBufferKind) -> Self {
         WriteBuffer {
             kind,
-            pending_set: HashSet::new(),
+            pending_set: FastSet::default(),
             pending_count: 0,
             stats: WriteBufferStats::default(),
         }

@@ -16,6 +16,22 @@
 //! Nothing here changes *observable* simulation results: maps are only read
 //! by key, never iterated in result-affecting order.
 //!
+//! The coherence engines no longer key their long-lived state by hash:
+//! memory versions, directories, sharer sets and per-processor line sets
+//! live in the dense, address-indexed tables of [`crate::dense`], which a
+//! lookup reaches without hashing. Hash maps remain where keys are sparse
+//! or short-lived:
+//!
+//! * the per-epoch pending-version maps of the HSCD engines, cleared at
+//!   every barrier, hold only the words written in one epoch;
+//! * the coalescing write buffer's set of pending words, also cleared at
+//!   every barrier;
+//! * the trace interpreter's version, race and post tables, which are
+//!   kept sparse on purpose: a dense table there would pay for the whole
+//!   address span of every program the experiment service holds;
+//! * the compiler's marking decisions (keyed by reference site) and the
+//!   model checker's stepper state.
+//!
 //! # Example
 //!
 //! ```

@@ -5,8 +5,10 @@
 //! on a *word-granular* view of memory: the unit of compiler analysis and of
 //! TPI timetag bookkeeping is a 32-bit word, while caches transfer multi-word
 //! lines. This crate defines the address arithmetic, processor/epoch
-//! identifiers, the compiler-to-hardware read annotations, and the layout of
-//! program arrays onto the flat shared address space.
+//! identifiers, the compiler-to-hardware read annotations, the layout of
+//! program arrays onto the flat shared address space, and the
+//! address-keyed containers the engines keep their state in
+//! ([`DenseTable`], [`DenseBitSet`], and the hash maps of [`fasthash`]).
 //!
 //! # Example
 //!
@@ -21,9 +23,11 @@
 
 #![warn(missing_docs)]
 
+pub mod dense;
 pub mod fasthash;
 pub mod layout;
 
+pub use dense::{DenseBitSet, DenseTable};
 pub use fasthash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use layout::{ArrayDecl, ArrayId, MemLayout, Sharing};
 

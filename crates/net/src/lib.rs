@@ -11,8 +11,10 @@
 //! ```
 //!
 //! so a message of `w` payload words traverses in
-//! `stages * stage_cycles * (1 + wait(rho)) + (1 + w) * word_cycles`
+//! `round(stages * stage_cycles * (1 + wait(rho))) + (1 + w) * word_cycles`
 //! (one header word plus payload, pipelined at `word_cycles` per word).
+//! The rounded switch term depends only on the load, so the network
+//! computes it once per load change, not once per message.
 //!
 //! The offered load is estimated from the traffic the protocols actually
 //! inject, one epoch behind (the simulator calls [`Network::end_epoch`] at
@@ -183,19 +185,32 @@ pub struct Network {
     epoch_words: u64,
     /// Offered load estimated from the previous epoch.
     rho: f64,
+    /// The switch term of [`Network::msg_latency`] at the current load:
+    /// `round(stages * stage_cycles * (1 + wait(rho)))`.
+    switch_cycles: Cycle,
 }
 
 impl Network {
     /// A new, unloaded network.
     #[must_use]
     pub fn new(cfg: NetworkConfig) -> Self {
-        let _ = cfg.stages(); // validate eagerly
-        Network {
+        let mut net = Network {
             cfg,
             stats: TrafficStats::default(),
             epoch_words: 0,
             rho: 0.0,
-        }
+            switch_cycles: 0,
+        };
+        net.set_rho(0.0); // also validates the configuration eagerly
+        net
+    }
+
+    /// Sets the offered load and recomputes the switch term.
+    fn set_rho(&mut self, rho: f64) {
+        self.rho = rho;
+        let stages = f64::from(self.cfg.stages());
+        let switch = stages * self.cfg.stage_cycles as f64 * (1.0 + self.wait_factor());
+        self.switch_cycles = switch.round() as Cycle;
     }
 
     /// The configuration.
@@ -219,12 +234,10 @@ impl Network {
     }
 
     /// One-way latency of a message with `payload_words` of payload.
+    #[inline]
     #[must_use]
     pub fn msg_latency(&self, payload_words: u32) -> Cycle {
-        let stages = f64::from(self.cfg.stages());
-        let switch = stages * self.cfg.stage_cycles as f64 * (1.0 + self.wait_factor());
-        let transfer = (1 + u64::from(payload_words)) * self.cfg.word_cycles;
-        switch.round() as Cycle + transfer
+        self.switch_cycles + (1 + u64::from(payload_words)) * self.cfg.word_cycles
     }
 
     /// Latency of a full line fetch: request, memory access, line reply.
@@ -286,7 +299,7 @@ impl Network {
         // P ports for `elapsed` cycles.
         let util = (total_words as f64 * self.cfg.word_cycles as f64)
             / (f64::from(self.cfg.processors) * elapsed as f64);
-        self.rho = util.min(self.cfg.max_rho);
+        self.set_rho(util.min(self.cfg.max_rho));
     }
 
     /// Cumulative traffic statistics.

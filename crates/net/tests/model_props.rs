@@ -1,6 +1,7 @@
 //! Property tests for the Kruskal–Snir network model: latencies must be
-//! monotone in load, payload size, and machine size, and the load
-//! estimator must stay within its clamp.
+//! monotone in load, payload size, and machine size, the load
+//! estimator must stay within its clamp, and the per-message latency
+//! must equal the formula in the crate docs at every load.
 
 use tpi_net::{Network, NetworkConfig, TrafficClass};
 use tpi_testkit::prelude::*;
@@ -56,5 +57,31 @@ proptest! {
         prop_assert_eq!(net.stats().total_words(), words);
         let per_class: u64 = TrafficClass::ALL.iter().map(|&c| net.stats().words(c)).sum();
         prop_assert_eq!(per_class, words);
+    }
+
+    #[test]
+    fn msg_latency_matches_the_documented_formula(
+        procs in 1u32..2048,
+        k in 2u32..9,
+        loads in prop::collection::vec((0u64..200_000, 0u64..5_000), 1..8),
+        payloads in prop::collection::vec(0u32..64, 1..8),
+    ) {
+        let mut cfg = NetworkConfig::paper_default(procs);
+        cfg.switch_degree = k;
+        let mut net = Network::new(cfg);
+        for &(words, elapsed) in &loads {
+            net.end_epoch_as(words, elapsed);
+            // wait(rho) = rho (1 - 1/k) / (2 (1 - rho)), rho clamped;
+            // latency = round(stages * stage_cycles * (1 + wait))
+            //           + (1 + w) * word_cycles.
+            let rho = net.rho().min(cfg.max_rho);
+            let kf = f64::from(k);
+            let wait = rho * (1.0 - 1.0 / kf) / (2.0 * (1.0 - rho));
+            let switch = f64::from(cfg.stages()) * cfg.stage_cycles as f64 * (1.0 + wait);
+            for &w in &payloads {
+                let expected = switch.round() as u64 + (1 + u64::from(w)) * cfg.word_cycles;
+                prop_assert_eq!(net.msg_latency(w), expected, "rho={} w={}", rho, w);
+            }
+        }
     }
 }

@@ -9,8 +9,8 @@
 use crate::stats::{EngineStats, MissClass};
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
-use tpi_cache::{Cache, Line};
-use tpi_mem::{Cycle, FastSet, ProcId, ReadKind, WordAddr};
+use tpi_cache::Cache;
+use tpi_mem::{Cycle, DenseBitSet, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The BASE (uncached-shared) engine.
@@ -22,7 +22,7 @@ pub struct BaseEngine {
     wpath: WritePath,
     net: Network,
     stats: EngineStats,
-    ever_cached: Vec<FastSet<u64>>,
+    ever_cached: Vec<DenseBitSet>,
 }
 
 impl BaseEngine {
@@ -33,7 +33,7 @@ impl BaseEngine {
         let wpath = WritePath::new(cfg.procs, cfg.wbuffer, cfg.net.word_cycles);
         let net = Network::new(cfg.net);
         let stats = EngineStats::new(cfg.procs);
-        let ever_cached = vec![FastSet::default(); cfg.procs as usize];
+        let ever_cached = vec![DenseBitSet::default(); cfg.procs as usize];
         BaseEngine {
             cfg,
             caches,
@@ -77,10 +77,11 @@ impl BaseEngine {
         let geom = self.cfg.cache.geometry;
         let la = geom.line_of(addr);
         let w = geom.word_in_line(addr);
-        if self.caches[0].peek(la).is_none() {
-            let _ = self.caches[0].insert(Line::new(la, geom.words_per_line()));
-        }
-        let line = self.caches[0].touch_mut(la).expect("resident");
+        let cache = &mut self.caches[0];
+        let line = match cache.touch_mut(la) {
+            Some(line) => line,
+            None => cache.install(la).0,
+        };
         line.set_word_valid(w, true);
     }
 }
@@ -128,7 +129,7 @@ impl CoherenceEngine for BaseEngine {
                 return AccessOutcome::hit();
             }
         }
-        let class = if self.ever_cached[p].contains(&la.0) {
+        let class = if self.ever_cached[p].contains(la.0) {
             MissClass::Replacement
         } else {
             MissClass::Cold
@@ -138,10 +139,11 @@ impl CoherenceEngine for BaseEngine {
         self.net.record(TrafficClass::Read, 0);
         self.net.record(TrafficClass::Read, line_words);
         let wpl = geom.words_per_line();
-        if self.caches[p].peek(la).is_none() {
-            let _ = self.caches[p].insert(Line::new(la, wpl));
-        }
-        let line = self.caches[p].touch_mut(la).expect("resident");
+        let cache = &mut self.caches[p];
+        let line = match cache.touch_mut(la) {
+            Some(line) => line,
+            None => cache.install(la).0,
+        };
         for word in 0..wpl {
             line.set_word_valid(word, true);
         }

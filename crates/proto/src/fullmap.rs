@@ -24,11 +24,11 @@
 //! penalty (and the entry falls back to a software full map, so precision
 //! is unaffected).
 
-use crate::sharers::SharerSet;
-use crate::stats::{EngineStats, MissClass};
+use crate::sharers::{LineRecord, LineTable, SharerSet};
+use crate::stats::{EngineStats, MissClass, PendingMisses};
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
-use tpi_cache::{Cache, Line, LineState};
-use tpi_mem::{Cycle, FastMap, FastSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_cache::{Cache, Evicted, LineState};
+use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 #[derive(Debug, Clone, Default)]
@@ -42,11 +42,13 @@ struct DirEntry {
     sharers: SharerSet,
 }
 
-impl DirEntry {
+impl LineRecord for DirEntry {
     fn is_empty(&self) -> bool {
         self.owner.is_none() && self.sharers.is_empty()
     }
+}
 
+impl DirEntry {
     fn holder_count(&self) -> u32 {
         self.sharers.count() + u32::from(self.owner.is_some())
     }
@@ -59,11 +61,12 @@ pub struct DirectoryEngine {
     caches: Vec<Cache>,
     net: Network,
     stats: EngineStats,
-    directory: FastMap<u64, DirEntry>,
-    mem_versions: FastMap<u64, u64>,
-    ever_cached: Vec<FastSet<u64>>,
+    /// Directory entries by line address; an empty entry is absent.
+    directory: LineTable<DirEntry>,
+    mem_versions: DenseTable<u64>,
+    ever_cached: Vec<DenseBitSet>,
     /// Pending classification for the next miss after an invalidation.
-    pending_class: Vec<FastMap<u64, MissClass>>,
+    pending_class: Vec<PendingMisses>,
     /// `Some((pointers, trap_cycles))` for LimitLess.
     limitless: Option<(u32, Cycle)>,
     name: &'static str,
@@ -96,18 +99,14 @@ impl DirectoryEngine {
             caches,
             net,
             stats,
-            directory: FastMap::default(),
-            mem_versions: FastMap::default(),
-            ever_cached: vec![FastSet::default(); cfg.procs as usize],
-            pending_class: vec![FastMap::default(); cfg.procs as usize],
+            directory: LineTable::default(),
+            mem_versions: DenseTable::default(),
+            ever_cached: vec![DenseBitSet::default(); cfg.procs as usize],
+            pending_class: vec![PendingMisses::default(); cfg.procs as usize],
             limitless,
             name,
             cfg,
         }
-    }
-
-    fn mem_version(&self, addr: WordAddr) -> u64 {
-        self.mem_versions.get(&addr.0).copied().unwrap_or(0)
     }
 
     /// LimitLess trap check: charges a trap if the entry has overflowed the
@@ -118,7 +117,7 @@ impl DirectoryEngine {
         };
         let overflowed = self
             .directory
-            .get(&la.0)
+            .get(la.0)
             .is_some_and(|e| e.holder_count() > pointers);
         if overflowed {
             self.stats.proc_mut(p).traps += 1;
@@ -141,7 +140,7 @@ impl DirectoryEngine {
             } else {
                 MissClass::CoherenceTrue
             };
-            self.pending_class[q as usize].insert(la.0, class);
+            self.pending_class[q as usize].set(la.0, class);
             self.stats.proc_mut(q as usize).invals_received += 1;
             debug_assert!(!victim.any_dirty(), "shared copies are clean");
         } else {
@@ -149,23 +148,19 @@ impl DirectoryEngine {
         }
     }
 
-    /// Invalidates every holder except `except`; returns how many copies
-    /// dropped.
-    fn invalidate_sharers(&mut self, la: LineAddr, word: u32, except: u32) -> u32 {
-        let holders: Vec<u32> = self
-            .directory
-            .get(&la.0)
-            .map(|e| e.sharers.iter().filter(|&q| q != except).collect())
-            .unwrap_or_default();
-        let mut dropped = 0;
-        for q in holders {
+    /// Invalidates every holder except `except`.
+    fn invalidate_sharers(&mut self, la: LineAddr, word: u32, except: u32) {
+        let Some(e) = self.directory.get_mut(la.0) else {
+            return;
+        };
+        // Walk the presence bits in place: the set is lent out of its
+        // entry for the walk (invalidations never touch the directory).
+        let mut sharers = std::mem::take(&mut e.sharers);
+        for q in sharers.iter().filter(|&q| q != except) {
             self.invalidate_copy(q, la, word);
-            dropped += 1;
         }
-        if let Some(e) = self.directory.get_mut(&la.0) {
-            e.sharers.retain_only(except);
-        }
-        dropped
+        sharers.retain_only(except);
+        self.directory.entry(la.0).sharers = sharers;
     }
 
     /// Installs a full line in `p`'s cache; handles the victim.
@@ -173,11 +168,11 @@ impl DirectoryEngine {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(la).0;
-        let mut line = Line::new(la, wpl);
+        let (line, victim) = self.caches[p].install(la);
         line.state = state;
         for w in 0..wpl {
             line.set_word_valid(w, true);
-            let mem = self.mem_version(WordAddr(base + u64::from(w)));
+            let mem = self.mem_versions.get(base + u64::from(w));
             let v = if w == req_word {
                 req_version.max(mem)
             } else {
@@ -186,7 +181,6 @@ impl DirectoryEngine {
             line.set_version(w, v);
         }
         line.set_word_accessed(req_word);
-        let victim = self.caches[p].insert(line);
         if let Some(v) = victim {
             self.handle_eviction(p, &v);
         }
@@ -194,7 +188,7 @@ impl DirectoryEngine {
     }
 
     /// Write-back + directory notification for an evicted line.
-    fn handle_eviction(&mut self, p: usize, victim: &Line) {
+    fn handle_eviction(&mut self, p: usize, victim: &Evicted) {
         let la = victim.addr;
         if victim.state == LineState::Exclusive && victim.any_dirty() {
             self.net.record(
@@ -206,27 +200,24 @@ impl DirectoryEngine {
             // Replacement hint keeps the directory precise.
             self.net.record(TrafficClass::Coherence, 0);
         }
-        if let Some(e) = self.directory.get_mut(&la.0) {
+        if let Some(e) = self.directory.get_mut(la.0) {
             if e.owner == Some(p as u32) {
                 e.owner = None;
             }
             e.sharers.remove(p as u32);
-            if e.is_empty() {
-                self.directory.remove(&la.0);
-            }
         }
     }
 
     /// Checks the directory/cache cross-invariants; returns a description
-    /// of the first violation.
+    /// of the first violation. Empty directory entries count as absent.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
     /// invariant.
     pub fn verify_invariants(&self) -> Result<(), String> {
-        for (addr, e) in &self.directory {
-            let la = LineAddr(*addr);
+        for (addr, e) in self.directory.iter() {
+            let la = LineAddr(addr);
             if let Some(o) = e.owner {
                 if e.sharers.iter().any(|q| q != o) {
                     return Err(format!("{la}: owner {o} coexists with sharers"));
@@ -247,7 +238,7 @@ impl DirectoryEngine {
         for (p, cache) in self.caches.iter().enumerate() {
             let mut bad: Option<String> = None;
             cache.for_each_line(|l| {
-                let e = self.directory.get(&l.addr.0);
+                let e = self.directory.get(l.addr.0);
                 let present = match l.state {
                     LineState::Exclusive => e.is_some_and(|e| e.owner == Some(p as u32)),
                     LineState::Shared => e.is_some_and(|e| e.sharers.contains(p as u32)),
@@ -270,7 +261,7 @@ impl DirectoryEngine {
     #[doc(hidden)]
     pub fn debug_drop_sharer_bit(&mut self, p: usize, addr: WordAddr) {
         let la = self.cfg.cache.geometry.line_of(addr);
-        if let Some(e) = self.directory.get_mut(&la.0) {
+        if let Some(e) = self.directory.get_mut(la.0) {
             if e.owner == Some(p as u32) {
                 e.owner = None;
             }
@@ -321,15 +312,15 @@ impl CoherenceEngine for DirectoryEngine {
             self.stats.proc_mut(p).read_hits += 1;
             return AccessOutcome::hit();
         }
-        let class = self.pending_class[p].remove(&la.0).unwrap_or_else(|| {
-            if self.ever_cached[p].contains(&la.0) {
+        let class = self.pending_class[p].take(la.0).unwrap_or_else(|| {
+            if self.ever_cached[p].contains(la.0) {
                 MissClass::Replacement
             } else {
                 MissClass::Cold
             }
         });
         let line_words = geom.words_per_line();
-        let owner = self.directory.get(&la.0).and_then(|e| e.owner);
+        let owner = self.directory.get(la.0).and_then(|e| e.owner);
         let mut stall;
         if let Some(o) = owner {
             debug_assert_ne!(o as usize, p, "owner cannot miss on its own line");
@@ -345,7 +336,7 @@ impl CoherenceEngine for DirectoryEngine {
                 ol.clean_all();
             }
             self.stats.proc_mut(o as usize).write_backs += 1;
-            let e = self.directory.entry(la.0).or_default();
+            let e = self.directory.entry(la.0);
             e.owner = None;
             e.sharers.insert(o);
         } else {
@@ -353,11 +344,7 @@ impl CoherenceEngine for DirectoryEngine {
             self.net.record(TrafficClass::Read, 0);
             self.net.record(TrafficClass::Read, line_words);
         }
-        self.directory
-            .entry(la.0)
-            .or_default()
-            .sharers
-            .insert(p as u32);
+        self.directory.entry(la.0).sharers.insert(p as u32);
         stall += self.trap_penalty(p, la);
         self.fill(p, la, w, version, LineState::Shared);
         self.stats.proc_mut(p).record_miss(class, stall);
@@ -367,7 +354,7 @@ impl CoherenceEngine for DirectoryEngine {
     fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, _now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
-        let slot = self.mem_versions.entry(addr.0).or_insert(0);
+        let slot = self.mem_versions.get_mut(addr.0);
         *slot = (*slot).max(version);
         let geom = self.cfg.cache.geometry;
         let la = geom.line_of(addr);
@@ -388,7 +375,7 @@ impl CoherenceEngine for DirectoryEngine {
                 self.invalidate_sharers(la, w, p as u32);
                 let _ = self.trap_penalty(p, la);
                 {
-                    let e = self.directory.entry(la.0).or_default();
+                    let e = self.directory.entry(la.0);
                     e.owner = Some(p as u32);
                     e.sharers.clear();
                 }
@@ -403,7 +390,7 @@ impl CoherenceEngine for DirectoryEngine {
                 // Write miss: read-exclusive fetch, non-blocking.
                 self.stats.proc_mut(p).write_misses += 1;
                 let line_words = geom.words_per_line();
-                let owner = self.directory.get(&la.0).and_then(|e| e.owner);
+                let owner = self.directory.get(la.0).and_then(|e| e.owner);
                 if let Some(o) = owner {
                     // Ownership transfer with invalidation of the old owner.
                     self.net.record(TrafficClass::Read, 0);
@@ -416,7 +403,7 @@ impl CoherenceEngine for DirectoryEngine {
                         } else {
                             MissClass::CoherenceTrue
                         };
-                        self.pending_class[o as usize].insert(la.0, class);
+                        self.pending_class[o as usize].set(la.0, class);
                         self.stats.proc_mut(o as usize).invals_received += 1;
                     }
                 } else {
@@ -426,7 +413,7 @@ impl CoherenceEngine for DirectoryEngine {
                 }
                 let _ = self.trap_penalty(p, la);
                 {
-                    let e = self.directory.entry(la.0).or_default();
+                    let e = self.directory.entry(la.0);
                     e.owner = Some(p as u32);
                     e.sharers.clear();
                 }

@@ -6,7 +6,8 @@
 //! producer/consumer hand-off. The hybrid scheme (Dahlgren & Stenström)
 //! splits the difference *competitively*: a write pushes single-word
 //! updates to the other sharers, but each sharer keeps a per-line counter
-//! of updates received since its last local access — once the counter
+//! of updates received since its last local access ([`tpi_cache::Line`]'s
+//! `updates`, cleared whenever the line is installed) — once the counter
 //! reaches a threshold the copy is clearly dead weight and gets
 //! invalidated instead, cutting that sharer out of future update traffic.
 //!
@@ -16,12 +17,12 @@
 //! are ignored — the pushed updates are what keep copies fresh, which is
 //! exactly what the staleness oracle verifies.
 
-use crate::sharers::SharerSet;
-use crate::stats::{EngineStats, MissClass};
+use crate::sharers::{LineTable, SharerSet};
+use crate::stats::{EngineStats, MissClass, PendingMisses};
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
-use tpi_cache::{Cache, Line};
-use tpi_mem::{Cycle, FastMap, FastSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_cache::Cache;
+use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The hybrid update/invalidate coherence engine.
@@ -32,18 +33,15 @@ pub struct HybridEngine {
     wpath: WritePath,
     net: Network,
     stats: EngineStats,
-    mem_versions: FastMap<u64, u64>,
-    ever_cached: Vec<FastSet<u64>>,
+    mem_versions: DenseTable<u64>,
+    ever_cached: Vec<DenseBitSet>,
     /// Directory: per-line sharer presence set (memory is always current,
     /// so presence is all it tracks). Grows with the machine, so the
     /// engine runs unchanged at the E24 large-scale processor counts.
-    sharers: FastMap<u64, SharerSet>,
-    /// Per-processor, per-line count of updates received since the last
-    /// local access (the competitive counter).
-    counters: Vec<FastMap<u64, u32>>,
+    sharers: LineTable<SharerSet>,
     /// Classification waiting for the next miss after an invalidation
     /// (Tullsen–Eggers), per processor and line.
-    pending_class: Vec<FastMap<u64, MissClass>>,
+    pending_class: Vec<PendingMisses>,
     updates_sent: u64,
     invals_sent: u64,
 }
@@ -65,30 +63,24 @@ impl HybridEngine {
             wpath,
             net,
             stats,
-            mem_versions: FastMap::default(),
-            ever_cached: vec![FastSet::default(); n],
-            sharers: FastMap::default(),
-            counters: vec![FastMap::default(); n],
-            pending_class: vec![FastMap::default(); n],
+            mem_versions: DenseTable::default(),
+            ever_cached: vec![DenseBitSet::default(); n],
+            sharers: LineTable::default(),
+            pending_class: vec![PendingMisses::default(); n],
             updates_sent: 0,
             invals_sent: 0,
         }
     }
 
-    fn mem_version(&self, addr: WordAddr) -> u64 {
-        self.mem_versions.get(&addr.0).copied().unwrap_or(0)
-    }
-
     fn bump_mem_version(&mut self, addr: WordAddr, version: u64) {
-        let e = self.mem_versions.entry(addr.0).or_insert(0);
+        let e = self.mem_versions.get_mut(addr.0);
         *e = (*e).max(version);
     }
 
     fn drop_sharer(&mut self, la: LineAddr, p: usize) {
-        if let Some(mask) = self.sharers.get_mut(&la.0) {
+        if let Some(mask) = self.sharers.get_mut(la.0) {
             mask.remove(p as u32);
         }
-        self.counters[p].remove(&la.0);
     }
 
     /// Refills `line_addr` from (always-current) memory and registers the
@@ -98,25 +90,16 @@ impl HybridEngine {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(line_addr).0;
-        let word_versions: Vec<u64> = (0..wpl)
-            .map(|w| self.mem_version(WordAddr(base + u64::from(w))))
-            .collect();
-        let victim = if self.caches[p].peek(line_addr).is_none() {
-            self.caches[p].insert(Line::new(line_addr, wpl)) // write-through: no writeback
-        } else {
-            None
+        let cache = &mut self.caches[p];
+        let (line, victim) = match cache.touch_mut(line_addr) {
+            Some(line) => (line, None),
+            None => cache.install(line_addr), // write-through: no writeback
         };
-        if let Some(v) = victim {
-            self.drop_sharer(v.addr, p);
-        }
-        let line = self.caches[p]
-            .touch_mut(line_addr)
-            .expect("line just ensured resident");
         for w in 0..wpl {
             let v = if w == req_word {
                 req_version
             } else {
-                word_versions[w as usize]
+                self.mem_versions.get(base + u64::from(w))
             };
             if !line.word_valid(w) || line.version(w) <= v {
                 line.set_word_valid(w, true);
@@ -124,36 +107,36 @@ impl HybridEngine {
             }
         }
         line.set_word_accessed(req_word);
+        line.updates = 0;
+        if let Some(v) = victim {
+            self.drop_sharer(v.addr, p);
+        }
         self.ever_cached[p].insert(line_addr.0);
-        self.sharers
-            .entry(line_addr.0)
-            .or_default()
-            .insert(p as u32);
-        self.counters[p].insert(line_addr.0, 0);
+        self.sharers.entry(line_addr.0).insert(p as u32);
     }
 
     /// Pushes a write of `addr` (now at `version`) to every *other*
     /// sharer: an in-place word update while the sharer's competitive
     /// counter is below the threshold, an invalidation once it trips.
     fn push_to_sharers(&mut self, p: usize, la: LineAddr, w: u32, version: u64) {
-        let Some(mask) = self.sharers.get(&la.0) else {
+        let Some(mask) = self.sharers.get_mut(la.0) else {
             return;
         };
-        let others: Vec<usize> = mask
-            .iter()
-            .map(|q| q as usize)
-            .filter(|&q| q != p)
-            .collect();
-        for q in others {
-            if self.caches[q].peek(la).is_none() {
+        // Walk the presence bits in place, retiring the sharers that drop
+        // out; the set is lent out of the directory for the walk.
+        let mut mask = std::mem::take(mask);
+        mask.retain(|q| {
+            let q = q as usize;
+            if q == p {
+                return true;
+            }
+            let Some(line) = self.caches[q].peek_mut(la) else {
                 // Silently evicted: the pushed message finds no copy;
                 // lazily retire the stale presence bit.
-                self.drop_sharer(la, q);
-                continue;
-            }
-            let count = self.counters[q].entry(la.0).or_insert(0);
-            *count += 1;
-            if *count >= self.cfg.hybrid_threshold {
+                return false;
+            };
+            line.updates += 1;
+            if line.updates >= self.cfg.hybrid_threshold {
                 // Competition lost: invalidate (request + ack headers).
                 let line = self.caches[q].remove(la).expect("peeked resident");
                 let class = if line.word_accessed(w) {
@@ -161,12 +144,12 @@ impl HybridEngine {
                 } else {
                     MissClass::FalseSharing
                 };
-                self.pending_class[q].insert(la.0, class);
-                self.drop_sharer(la, q);
+                self.pending_class[q].set(la.0, class);
                 self.stats.proc_mut(q).invals_received += 1;
                 self.net.record(TrafficClass::Coherence, 0);
                 self.net.record(TrafficClass::Coherence, 0);
                 self.invals_sent += 1;
+                false
             } else {
                 // Push the word: the sharer's copy stays current.
                 let line = self.caches[q].touch_mut(la).expect("peeked resident");
@@ -176,8 +159,10 @@ impl HybridEngine {
                 }
                 self.net.record(TrafficClass::Coherence, 1);
                 self.updates_sent += 1;
+                true
             }
-        }
+        });
+        *self.sharers.entry(la.0) = mask;
     }
 
     /// Checks directory coverage (`tpi-model` invariant
@@ -193,7 +178,7 @@ impl HybridEngine {
                 if line.any_valid() && bad.is_none() {
                     let present = self
                         .sharers
-                        .get(&line.addr.0)
+                        .get(line.addr.0)
                         .is_some_and(|m| m.contains(p as u32));
                     if !present {
                         bad = Some(line.addr);
@@ -225,7 +210,7 @@ impl HybridEngine {
                 for w in 0..wpl {
                     if line.word_valid(w) && bad.is_none() {
                         let a = WordAddr(geom.first_word(line.addr).0 + u64::from(w));
-                        let mem = self.mem_versions.get(&a.0).copied().unwrap_or(0);
+                        let mem = self.mem_versions.get(a.0);
                         if line.version(w) > mem {
                             bad = Some((a, line.version(w), mem));
                         }
@@ -250,7 +235,7 @@ impl HybridEngine {
     #[doc(hidden)]
     pub fn debug_drop_sharer_bit(&mut self, p: usize, addr: WordAddr) {
         let la = self.cfg.cache.geometry.line_of(addr);
-        if let Some(mask) = self.sharers.get_mut(&la.0) {
+        if let Some(mask) = self.sharers.get_mut(la.0) {
             mask.remove(p as u32);
         }
     }
@@ -296,19 +281,19 @@ impl CoherenceEngine for HybridEngine {
         if let Some(line) = self.caches[p].touch_mut(la) {
             if line.word_valid(w) {
                 line.set_word_accessed(w);
+                // A local access wins the competition round.
+                line.updates = 0;
                 assert!(
                     !self.cfg.verify_freshness || line.version(w) == version,
                     "HYB hit observed a stale version at {addr}: cached {} vs required {version}",
                     line.version(w)
                 );
                 self.stats.proc_mut(p).read_hits += 1;
-                // A local access wins the competition round.
-                self.counters[p].insert(la.0, 0);
                 return AccessOutcome::hit();
             }
         }
-        let class = self.pending_class[p].remove(&la.0).unwrap_or_else(|| {
-            if self.ever_cached[p].contains(&la.0) {
+        let class = self.pending_class[p].take(la.0).unwrap_or_else(|| {
+            if self.ever_cached[p].contains(la.0) {
                 MissClass::Replacement
             } else {
                 MissClass::Cold
@@ -337,7 +322,7 @@ impl CoherenceEngine for HybridEngine {
             line.set_word_valid(w, true);
             line.set_version(w, version);
             line.set_word_accessed(w);
-            self.counters[p].insert(la.0, 0);
+            line.updates = 0;
         } else {
             self.stats.proc_mut(p).write_misses += 1;
             let line_words = geom.words_per_line();

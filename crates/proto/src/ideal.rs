@@ -10,8 +10,8 @@
 
 use crate::stats::{EngineStats, MissClass};
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
-use tpi_cache::{Cache, Line};
-use tpi_mem::{Cycle, FastSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_cache::Cache;
+use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The perfect-coherence oracle.
@@ -21,7 +21,7 @@ pub struct IdealEngine {
     caches: Vec<Cache>,
     net: Network,
     stats: EngineStats,
-    ever_cached: Vec<FastSet<u64>>,
+    ever_cached: Vec<DenseBitSet>,
 }
 
 impl IdealEngine {
@@ -32,7 +32,7 @@ impl IdealEngine {
         let caches = (0..cfg.procs).map(|_| Cache::new(cfg.cache)).collect();
         let net = Network::new(cfg.net);
         let stats = EngineStats::new(cfg.procs);
-        let ever_cached = vec![FastSet::default(); cfg.procs as usize];
+        let ever_cached = vec![DenseBitSet::default(); cfg.procs as usize];
         IdealEngine {
             cfg,
             caches,
@@ -44,12 +44,11 @@ impl IdealEngine {
 
     fn fill(&mut self, p: usize, la: LineAddr, req_word: u32, version: u64) {
         let wpl = self.cfg.cache.geometry.words_per_line();
-        let mut line = Line::new(la, wpl);
+        let (line, _) = self.caches[p].install(la);
         for w in 0..wpl {
             line.set_word_valid(w, true);
         }
         line.set_version(req_word, version);
-        let _ = self.caches[p].insert(line);
         self.ever_cached[p].insert(la.0);
     }
 }
@@ -86,7 +85,7 @@ impl CoherenceEngine for IdealEngine {
             self.stats.proc_mut(p).read_hits += 1;
             return AccessOutcome::hit();
         }
-        let class = if self.ever_cached[p].contains(&la.0) {
+        let class = if self.ever_cached[p].contains(la.0) {
             MissClass::Replacement
         } else {
             MissClass::Cold

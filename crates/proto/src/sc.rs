@@ -16,8 +16,8 @@ use crate::stats::{EngineStats, MissClass};
 use crate::versions::EpochVersions;
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
-use tpi_cache::{Cache, Line};
-use tpi_mem::{Cycle, FastSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_cache::Cache;
+use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The SC coherence engine.
@@ -31,7 +31,7 @@ pub struct ScEngine {
     /// Per-word memory versions, committed at epoch boundaries (the write
     /// buffer's drain instant); the writer sees its own stores at once.
     versions: EpochVersions,
-    ever_cached: Vec<FastSet<u64>>,
+    ever_cached: Vec<DenseBitSet>,
 }
 
 impl ScEngine {
@@ -43,7 +43,7 @@ impl ScEngine {
         let wpath = WritePath::new(cfg.procs, cfg.wbuffer, cfg.net.word_cycles);
         let net = Network::new(cfg.net);
         let stats = EngineStats::new(cfg.procs);
-        let ever_cached = vec![FastSet::default(); cfg.procs as usize];
+        let ever_cached = vec![DenseBitSet::default(); cfg.procs as usize];
         ScEngine {
             cfg,
             caches,
@@ -53,10 +53,6 @@ impl ScEngine {
             versions: EpochVersions::new(procs),
             ever_cached,
         }
-    }
-
-    fn mem_version(&self, p: usize, addr: WordAddr) -> u64 {
-        self.versions.read(p, addr)
     }
 
     fn bump_mem_version(&mut self, p: usize, addr: WordAddr, version: u64) {
@@ -70,21 +66,16 @@ impl ScEngine {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(line_addr).0;
-        let word_versions: Vec<u64> = (0..wpl)
-            .map(|w| self.mem_version(p, WordAddr(base + u64::from(w))))
-            .collect();
         let cache = &mut self.caches[p];
-        if cache.peek(line_addr).is_none() {
-            let _ = cache.insert(Line::new(line_addr, wpl)); // write-through: no victim writeback
-        }
-        let line = cache
-            .touch_mut(line_addr)
-            .expect("line just ensured resident");
+        let line = match cache.touch_mut(line_addr) {
+            Some(line) => line,
+            None => cache.install(line_addr).0, // write-through: no victim writeback
+        };
         for w in 0..wpl {
             let v = if w == req_word {
                 req_version
             } else {
-                word_versions[w as usize]
+                self.versions.read(p, WordAddr(base + u64::from(w)))
             };
             if !line.word_valid(w) || line.version(w) <= v {
                 line.set_word_valid(w, true);
@@ -154,7 +145,7 @@ impl CoherenceEngine for ScEngine {
             }
         }
         let class = class.unwrap_or_else(|| {
-            if self.ever_cached[p].contains(&la.0) {
+            if self.ever_cached[p].contains(la.0) {
                 MissClass::Replacement
             } else {
                 MissClass::Cold

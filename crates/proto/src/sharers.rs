@@ -8,13 +8,20 @@
 //! demand in 64-bit words. This also keeps the storage model honest: the
 //! full-map cost the paper charges in its directory-storage comparison is
 //! O(P) bits per line, which is exactly what this representation pays.
+//!
+//! The engines keep those per-line records in a `LineTable`: an arena of
+//! records found through a dense line-address index, so a directory
+//! lookup does no hashing and a warm directory allocates nothing.
+
+use std::fmt;
+use tpi_mem::DenseTable;
 
 /// A set of processor ids backed by a lazily-grown `Vec` of 64-bit words.
 ///
-/// The empty set allocates nothing, so a `FastMap<u64, SharerSet>`
-/// directory is no heavier than the old `u64`-mask one until a line
-/// actually gains a sharer above processor 63.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The empty set allocates nothing until a line gains its first sharer,
+/// and emptying a set keeps its storage, so a line that gains sharers
+/// again reuses it.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct SharerSet {
     words: Vec<u64>,
 }
@@ -44,6 +51,21 @@ impl SharerSet {
         self.words
             .get(w)
             .is_some_and(|word| word & (1u64 << b) != 0)
+    }
+
+    /// Visits the members in ascending order, removing those for which
+    /// `keep` returns `false`.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                if !keep(wi as u32 * 64 + b) {
+                    *word &= !(1u64 << b);
+                }
+            }
+        }
     }
 
     /// Empties the set.
@@ -88,6 +110,94 @@ impl SharerSet {
     }
 }
 
+impl fmt::Debug for SharerSet {
+    /// Prints the members, so equal sets print alike whatever storage
+    /// they kept.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// A per-line record that can be empty; an empty record counts as absent.
+pub(crate) trait LineRecord: Default + fmt::Debug {
+    /// Whether the record holds nothing (no holder of the line).
+    fn is_empty(&self) -> bool;
+}
+
+impl LineRecord for SharerSet {
+    fn is_empty(&self) -> bool {
+        SharerSet::is_empty(self)
+    }
+}
+
+/// Per-line records (directory entries, sharer sets) in an arena, found
+/// through a dense line-address index.
+///
+/// A record is created on the first [`LineTable::entry`] call for its line
+/// and never freed: one that empties keeps its storage for the line's next
+/// holder. An empty record counts as absent, so `Debug` prints only the
+/// non-empty ones, in line-address order, and two tables holding the same
+/// records print alike whatever their history.
+pub(crate) struct LineTable<E> {
+    /// Arena index + 1 per line address (0 = no record yet).
+    slots: DenseTable<u32>,
+    records: Vec<E>,
+}
+
+impl<E> Default for LineTable<E> {
+    fn default() -> Self {
+        LineTable {
+            slots: DenseTable::default(),
+            records: Vec::new(),
+        }
+    }
+}
+
+impl<E: LineRecord> LineTable<E> {
+    /// The record of line `la`, if one was ever created (it may be empty).
+    #[inline]
+    pub(crate) fn get(&self, la: u64) -> Option<&E> {
+        match self.slots.get(la) {
+            0 => None,
+            slot => Some(&self.records[slot as usize - 1]),
+        }
+    }
+
+    /// Mutable access to the record of line `la`, if one was ever created.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, la: u64) -> Option<&mut E> {
+        match self.slots.get(la) {
+            0 => None,
+            slot => Some(&mut self.records[slot as usize - 1]),
+        }
+    }
+
+    /// The record of line `la`, created empty on first use.
+    #[inline]
+    pub(crate) fn entry(&mut self, la: u64) -> &mut E {
+        let slot = self.slots.get_mut(la);
+        if *slot == 0 {
+            self.records.push(E::default());
+            *slot = u32::try_from(self.records.len()).expect("fewer than 2^32 lines");
+        }
+        &mut self.records[*slot as usize - 1]
+    }
+
+    /// Every non-empty record with its line address, in address order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &E)> + '_ {
+        self.slots
+            .iter()
+            .map(|(la, slot)| (la, &self.records[slot as usize - 1]))
+            .filter(|(_, e)| !e.is_empty())
+    }
+}
+
+impl<E: LineRecord> fmt::Debug for LineTable<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +221,17 @@ mod tests {
         s.insert(200);
         s.clear();
         assert!(s.is_empty());
+        let mut r = SharerSet::default();
+        for p in [1, 2, 70, 130] {
+            r.insert(p);
+        }
+        let mut seen = Vec::new();
+        r.retain(|p| {
+            seen.push(p);
+            p % 2 == 0
+        });
+        assert_eq!(seen, vec![1, 2, 70, 130], "ascending visit");
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![2, 70, 130]);
         // An empty set never allocated and equals the default.
         assert_eq!(SharerSet::default(), {
             let mut t = SharerSet::default();
@@ -119,5 +240,19 @@ mod tests {
             t.retain_only(5);
             t
         });
+    }
+
+    #[test]
+    fn line_table_hides_empty_records() {
+        let mut a: LineTable<SharerSet> = LineTable::default();
+        let mut b: LineTable<SharerSet> = LineTable::default();
+        assert!(a.get(5).is_none());
+        a.entry(5).insert(3);
+        a.entry(9).insert(1);
+        a.get_mut(5).unwrap().remove(3);
+        assert!(a.get(5).is_some_and(SharerSet::is_empty), "record kept");
+        b.entry(9).insert(1);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.iter().map(|(la, _)| la).collect::<Vec<_>>(), vec![9]);
     }
 }

@@ -6,7 +6,7 @@
 //! schemes), average miss latencies, and network traffic. These counters
 //! are the raw material for all of those tables.
 
-use tpi_mem::Cycle;
+use tpi_mem::{Cycle, DenseBitSet};
 
 /// Why a read had to go to memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -212,6 +212,47 @@ impl EngineStats {
             total.merge(s);
         }
         total
+    }
+}
+
+/// Classifications waiting for a processor's next miss on each line it
+/// lost to an invalidation (Tullsen–Eggers): [`MissClass::CoherenceTrue`]
+/// or [`MissClass::FalseSharing`]. Two bits per line, in bit sets: the
+/// invalidated lines of one processor can be sparse across the whole
+/// address range (a column sweep loses one line per row), and a bit set
+/// pays 512 bytes per 4,096 lines of range where a byte per line would
+/// pay 4 KB.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PendingMisses {
+    pending: DenseBitSet,
+    false_sharing: DenseBitSet,
+}
+
+impl PendingMisses {
+    /// Records that the next miss on line `la` is of class `class`.
+    pub(crate) fn set(&mut self, la: u64, class: MissClass) {
+        debug_assert!(matches!(
+            class,
+            MissClass::CoherenceTrue | MissClass::FalseSharing
+        ));
+        self.pending.insert(la);
+        if class == MissClass::FalseSharing {
+            self.false_sharing.insert(la);
+        } else {
+            self.false_sharing.remove(la);
+        }
+    }
+
+    /// Takes the class waiting for line `la`, if any.
+    pub(crate) fn take(&mut self, la: u64) -> Option<MissClass> {
+        if !self.pending.remove(la) {
+            return None;
+        }
+        Some(if self.false_sharing.remove(la) {
+            MissClass::FalseSharing
+        } else {
+            MissClass::CoherenceTrue
+        })
     }
 }
 

@@ -28,7 +28,7 @@ use crate::stats::{EngineStats, MissClass};
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
 use tpi_cache::{Cache, Line};
-use tpi_mem::{Cycle, FastMap, FastSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The Tardis timestamp-lease coherence engine.
@@ -39,14 +39,14 @@ pub struct TardisEngine {
     wpath: WritePath,
     net: Network,
     stats: EngineStats,
-    mem_versions: FastMap<u64, u64>,
-    ever_cached: Vec<FastSet<u64>>,
+    mem_versions: DenseTable<u64>,
+    ever_cached: Vec<DenseBitSet>,
     /// Per-processor logical clock.
     pts: Vec<u64>,
     /// Per-word write timestamp at the home.
-    mem_wts: FastMap<u64, u64>,
+    mem_wts: DenseTable<u64>,
     /// Per-word lease expiry at the home (largest lease handed out).
-    mem_rts: FastMap<u64, u64>,
+    mem_rts: DenseTable<u64>,
     lease_grants: u64,
     lease_renewals: u64,
 }
@@ -59,7 +59,7 @@ impl TardisEngine {
         let wpath = WritePath::new(cfg.procs, cfg.wbuffer, cfg.net.word_cycles);
         let net = Network::new(cfg.net);
         let stats = EngineStats::new(cfg.procs);
-        let ever_cached = vec![FastSet::default(); cfg.procs as usize];
+        let ever_cached = vec![DenseBitSet::default(); cfg.procs as usize];
         let pts = vec![0; cfg.procs as usize];
         TardisEngine {
             cfg,
@@ -67,31 +67,27 @@ impl TardisEngine {
             wpath,
             net,
             stats,
-            mem_versions: FastMap::default(),
+            mem_versions: DenseTable::default(),
             ever_cached,
             pts,
-            mem_wts: FastMap::default(),
-            mem_rts: FastMap::default(),
+            mem_wts: DenseTable::default(),
+            mem_rts: DenseTable::default(),
             lease_grants: 0,
             lease_renewals: 0,
         }
     }
 
-    fn mem_version(&self, addr: WordAddr) -> u64 {
-        self.mem_versions.get(&addr.0).copied().unwrap_or(0)
-    }
-
     fn bump_mem_version(&mut self, addr: WordAddr, version: u64) {
-        let e = self.mem_versions.entry(addr.0).or_insert(0);
+        let e = self.mem_versions.get_mut(addr.0);
         *e = (*e).max(version);
     }
 
     fn wts(&self, addr: WordAddr) -> u64 {
-        self.mem_wts.get(&addr.0).copied().unwrap_or(0)
+        self.mem_wts.get(addr.0)
     }
 
     fn rts(&self, addr: WordAddr) -> u64 {
-        self.mem_rts.get(&addr.0).copied().unwrap_or(0)
+        self.mem_rts.get(addr.0)
     }
 
     /// Picks a write timestamp past every outstanding lease on `addr`,
@@ -99,7 +95,7 @@ impl TardisEngine {
     fn write_timestamp(&mut self, p: usize, addr: WordAddr) -> u64 {
         let ts = self.pts[p].max(self.rts(addr) + 1).max(self.wts(addr) + 1);
         self.pts[p] = ts;
-        self.mem_wts.insert(addr.0, ts);
+        self.mem_wts.set(addr.0, ts);
         ts
     }
 
@@ -114,28 +110,22 @@ impl TardisEngine {
         let req_addr = WordAddr(base + u64::from(req_word));
         self.pts[p] = self.pts[p].max(self.wts(req_addr));
         let lease_floor = self.pts[p] + self.cfg.tardis_lease;
-        let mut fills: Vec<(u64, u64)> = Vec::with_capacity(wpl as usize);
+        self.lease_grants += u64::from(wpl);
+        let cache = &mut self.caches[p];
+        let line = match cache.touch_mut(line_addr) {
+            Some(line) => line,
+            None => cache.install(line_addr).0, // write-through: no victim writeback
+        };
         for w in 0..wpl {
-            let a = WordAddr(base + u64::from(w));
+            let a = base + u64::from(w);
             let v = if w == req_word {
                 req_version
             } else {
-                self.mem_version(a)
+                self.mem_versions.get(a)
             };
-            let lease_end = self.rts(a).max(lease_floor);
-            self.mem_rts.insert(a.0, lease_end);
-            fills.push((v, lease_end));
-        }
-        self.lease_grants += u64::from(wpl);
-        let cache = &mut self.caches[p];
-        if cache.peek(line_addr).is_none() {
-            let _ = cache.insert(Line::new(line_addr, wpl)); // write-through: no victim writeback
-        }
-        let line = cache
-            .touch_mut(line_addr)
-            .expect("line just ensured resident");
-        for (w, &(v, lease_end)) in fills.iter().enumerate() {
-            let w = w as u32;
+            let rts = self.mem_rts.get_mut(a);
+            let lease_end = (*rts).max(lease_floor);
+            *rts = lease_end;
             if !line.word_valid(w) || line.version(w) <= v {
                 line.set_word_valid(w, true);
                 line.set_version(w, v);
@@ -156,7 +146,7 @@ impl TardisEngine {
     pub(crate) fn check_stale_copy_leases(&self) -> Result<(), String> {
         self.for_each_cached_word(|p, a, line, w| {
             let cached = line.version(w);
-            let mem = self.mem_versions.get(&a.0).copied().unwrap_or(0);
+            let mem = self.mem_versions.get(a.0);
             if cached < mem && line.lease(w) >= self.wts(a) {
                 return Err(format!(
                     "proc {p} holds stale word {} (version {cached} < memory {mem}) \
@@ -221,7 +211,7 @@ impl TardisEngine {
     /// timestamp-ordering bug Tardis's correctness proof rules out.
     #[doc(hidden)]
     pub fn debug_rewind_wts(&mut self, addr: WordAddr) {
-        self.mem_wts.insert(addr.0, 0);
+        self.mem_wts.set(addr.0, 0);
     }
 }
 
@@ -286,7 +276,7 @@ impl CoherenceEngine for TardisEngine {
             }
         }
         let class = class.unwrap_or_else(|| {
-            if self.ever_cached[p].contains(&la.0) {
+            if self.ever_cached[p].contains(la.0) {
                 MissClass::Replacement
             } else {
                 MissClass::Cold

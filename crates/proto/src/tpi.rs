@@ -26,8 +26,8 @@ use crate::stats::{EngineStats, MissClass};
 use crate::versions::EpochVersions;
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
-use tpi_cache::{Cache, Line, TagClock, WriteBufferStats, WritePolicy};
-use tpi_mem::{Cycle, FastSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_cache::{Cache, TagClock, WriteBufferStats, WritePolicy};
+use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The TPI coherence engine.
@@ -44,7 +44,7 @@ pub struct TpiEngine {
     /// buffer's drain instant); the writer sees its own stores at once.
     versions: EpochVersions,
     /// Lines each processor has ever cached (cold/replacement split).
-    ever_cached: Vec<FastSet<u64>>,
+    ever_cached: Vec<DenseBitSet>,
     /// Optional on-chip L1s (two-level TPI, Section 3).
     l1s: Option<Vec<Cache>>,
     /// Profiling-only operation counters (see [`CoherenceEngine::op_counts`]).
@@ -82,7 +82,7 @@ impl TpiEngine {
         let wpath = WritePath::new(cfg.procs, cfg.wbuffer, cfg.net.word_cycles);
         let net = Network::new(cfg.net);
         let stats = EngineStats::new(cfg.procs);
-        let ever_cached = vec![FastSet::default(); cfg.procs as usize];
+        let ever_cached = vec![DenseBitSet::default(); cfg.procs as usize];
         let fill_versions = vec![0; cfg.cache.geometry.words_per_line() as usize];
         let l1s = cfg.l1.map(|l1| {
             let l1_cfg = tpi_cache::CacheConfig {
@@ -187,16 +187,14 @@ impl TpiEngine {
         let Some(l2_line) = self.caches[p].peek(la) else {
             return;
         };
-        let l2_line = l2_line.clone();
         let wpl = self.cfg.cache.geometry.words_per_line();
-        let mut line = Line::new(la, wpl);
+        let (line, _) = l1s[p].install(la);
         for w in 0..wpl {
             if l2_line.word_valid(w) {
                 line.set_word_valid(w, true);
                 line.set_version(w, l2_line.version(w));
             }
         }
-        let _ = l1s[p].insert(line);
     }
 
     fn prev_tag(&self) -> u16 {
@@ -233,22 +231,20 @@ impl TpiEngine {
             self.fill_versions[w as usize] = v;
         }
         let cache = &mut self.caches[p];
-        if cache.peek(line_addr).is_none() {
-            let line = Line::new(line_addr, wpl);
-            let victim = cache.insert(line);
-            // Under write-through, victims need no writeback; under
-            // write-back-at-boundary a dirty victim flushes on eviction.
-            if let Some(v) = victim {
-                if v.any_dirty() {
+        let line = match cache.touch_mut(line_addr) {
+            Some(line) => line,
+            None => {
+                let (line, victim) = cache.install(line_addr);
+                // Under write-through, victims need no writeback; under
+                // write-back-at-boundary a dirty victim flushes on eviction.
+                if let Some(v) = victim.filter(|v| v.any_dirty()) {
                     let dirty = (0..wpl).filter(|&wd| v.word_dirty(wd)).count() as u32;
                     self.net.record(TrafficClass::Write, dirty);
                     self.stats.proc_mut(p).write_backs += 1;
                 }
+                line
             }
-        }
-        let line = cache
-            .touch_mut(line_addr)
-            .expect("line just ensured resident");
+        };
         for w in 0..wpl {
             if w == req_word {
                 line.set_word_valid(w, true);
@@ -373,7 +369,7 @@ impl CoherenceEngine for TpiEngine {
         }
         let line_present = class.is_some();
         let class = class.unwrap_or_else(|| {
-            if self.ever_cached[p].contains(&la.0) {
+            if self.ever_cached[p].contains(la.0) {
                 MissClass::Replacement
             } else {
                 MissClass::Cold

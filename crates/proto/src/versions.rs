@@ -17,14 +17,19 @@
 //! `tpi-sim`'s `shard` module and DESIGN.md "Parallel simulation").
 //! Versions only grow, so the boundary commit is a max-merge: commutative
 //! and idempotent, independent of shard count and iteration order.
+//!
+//! The committed table lives for the whole run and is read on every line
+//! fill, so it is a dense, address-indexed [`DenseTable`]. The pending
+//! maps hold one epoch's stores and are cleared at every barrier, so they
+//! stay small hash maps.
 
-use tpi_mem::{FastMap, WordAddr};
+use tpi_mem::{DenseTable, FastMap, WordAddr};
 
 /// Per-word memory versions with epoch-boundary commit.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EpochVersions {
     /// Versions visible to every processor (committed at barriers).
-    committed: FastMap<u64, u64>,
+    committed: DenseTable<u64>,
     /// Versions written this epoch, visible only to the writing
     /// processor until the boundary (its write buffer's contents).
     pending: Vec<FastMap<u64, u64>>,
@@ -38,7 +43,7 @@ impl EpochVersions {
     /// An empty table for `procs` processors.
     pub(crate) fn new(procs: u32) -> Self {
         EpochVersions {
-            committed: FastMap::default(),
+            committed: DenseTable::default(),
             pending: vec![FastMap::default(); procs as usize],
             track: false,
             drained: Vec::new(),
@@ -48,7 +53,7 @@ impl EpochVersions {
     /// The version of `addr` as processor `p` observes it: memory's
     /// committed copy, or `p`'s own pending store if newer.
     pub(crate) fn read(&self, p: usize, addr: WordAddr) -> u64 {
-        let committed = self.committed.get(&addr.0).copied().unwrap_or(0);
+        let committed = self.committed.get(addr.0);
         if self.pending[p].is_empty() {
             return committed;
         }
@@ -72,7 +77,7 @@ impl EpochVersions {
                 continue;
             }
             for (&addr, &version) in pend.iter() {
-                let e = self.committed.entry(addr).or_insert(0);
+                let e = self.committed.get_mut(addr);
                 *e = (*e).max(version);
                 if self.track {
                     self.drained.push((addr, version));
@@ -97,7 +102,7 @@ impl EpochVersions {
     /// not touch pending state.
     pub(crate) fn apply_updates(&mut self, updates: &[(u64, u64)]) {
         for &(addr, version) in updates {
-            let e = self.committed.entry(addr).or_insert(0);
+            let e = self.committed.get_mut(addr);
             *e = (*e).max(version);
         }
     }
