@@ -1,9 +1,8 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
 //! Each `eN` function reproduces one experiment from the per-experiment
-//! index in `DESIGN.md`; the `repro` binary runs them at paper scale and
-//! the Criterion benches exercise the same code at test scale. Experiment
-//! ids:
+//! index in `DESIGN.md`; the `repro` binary runs them at paper scale, or
+//! at test scale with `--test`. Experiment ids:
 //!
 //! | id  | reproduces |
 //! |-----|------------|

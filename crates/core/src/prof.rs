@@ -4,14 +4,14 @@
 //! must be measurable too. This module provides the profiling layer used by
 //! [`Runner`](crate::Runner): scoped wall-clock stage timers, monotonic
 //! counters, and a deterministic [`ProfileReport`] that `repro --timing`,
-//! `tpi-run --profile`, the `/metrics` endpoint of `tpi-serve`, and the
-//! `tpi-bench --bin perf` baseline harness all render from.
+//! `tpi-run --profile`, the `/metrics` endpoint of `tpi-serve` and the
+//! repository benchmark (`tpi-perf`) all read.
 //!
 //! # Design
 //!
 //! * **Zero dependencies.** Like the rest of the workspace the profiler is
 //!   std-only: `Instant` for wall time, a `Mutex<BTreeMap>` for aggregation.
-//!   No `tracing`, no `criterion` — the repo builds offline.
+//!   No `tracing` — the repo builds offline.
 //! * **Scoped timers with nesting.** [`Profiler::scope`] returns an RAII
 //!   guard; nested scopes compose their names into `/`-separated paths
 //!   (`"simulate"` inside `"grid"` records as `"grid/simulate"`). The

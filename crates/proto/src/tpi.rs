@@ -49,9 +49,6 @@ pub struct TpiEngine {
     l1s: Option<Vec<Cache>>,
     /// Profiling-only operation counters (see [`CoherenceEngine::op_counts`]).
     ops: OpCounters,
-    /// Scratch buffer of per-word memory versions, reused across
-    /// [`TpiEngine::fill`] calls so the hot fill path never allocates.
-    fill_versions: Vec<u64>,
     /// Test-only sabotage: when set, epoch boundaries advance the tag
     /// clock but never apply its reset events (see
     /// [`TpiEngine::debug_skip_resets`]).
@@ -83,7 +80,6 @@ impl TpiEngine {
         let net = Network::new(cfg.net);
         let stats = EngineStats::new(cfg.procs);
         let ever_cached = vec![DenseBitSet::default(); cfg.procs as usize];
-        let fill_versions = vec![0; cfg.cache.geometry.words_per_line() as usize];
         let l1s = cfg.l1.map(|l1| {
             let l1_cfg = tpi_cache::CacheConfig {
                 size_bytes: l1.size_bytes,
@@ -103,7 +99,6 @@ impl TpiEngine {
             ever_cached,
             l1s,
             ops: OpCounters::default(),
-            fill_versions,
             skip_resets: false,
         }
     }
@@ -226,10 +221,6 @@ impl TpiEngine {
         let cur = self.clock.hw_tag();
         let prev = self.prev_tag();
         let base = geom.first_word(line_addr).0;
-        for w in 0..wpl {
-            let v = self.mem_version(p, WordAddr(base + u64::from(w)));
-            self.fill_versions[w as usize] = v;
-        }
         let cache = &mut self.caches[p];
         let line = match cache.touch_mut(line_addr) {
             Some(line) => line,
@@ -253,7 +244,7 @@ impl TpiEngine {
             } else if !line.word_valid(w) || self.clock.age_of(line.timetag(w)) >= 1 {
                 line.set_word_valid(w, true);
                 line.set_timetag(w, prev);
-                line.set_version(w, self.fill_versions[w as usize]);
+                line.set_version(w, self.versions.read(p, WordAddr(base + u64::from(w))));
             }
             // Words stamped in the current epoch hold local data at least
             // as new as memory; leave them alone.

@@ -1,15 +1,13 @@
 //! Zero-dependency testing support for the offline workspace.
 //!
 //! The workspace builds in environments with no crates.io access, so it
-//! cannot depend on `proptest` or `criterion`. This crate supplies the
-//! small subset of both that the repository actually uses:
+//! cannot depend on `proptest`. This crate supplies what the repository
+//! uses instead:
 //!
 //! * a deterministic property-testing harness whose surface mirrors
 //!   `proptest` (the [`proptest!`] macro, [`Strategy`], ranges and tuples
 //!   as strategies, [`prop_oneof!`], `prop::collection::vec`, …), so the
 //!   property suites read exactly as they would under the real crate, and
-//! * a wall-clock micro-benchmark harness ([`mod@bench`]) for the
-//!   `harness = false` bench targets, and
 //! * bounded exhaustive enumeration helpers ([`mod@exhaustive`]) for
 //!   tools that sweep every small structure instead of sampling.
 //!
@@ -19,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod exhaustive;
 mod rng;
 mod strategy;
