@@ -54,7 +54,7 @@ use tpi_compiler::{mark_program, CompilerOptions, Marking};
 use tpi_ir::Program;
 use tpi_proto::{build_engine, SchemeId};
 use tpi_sim::{run_trace, run_trace_sharded, verify_accounting, ShardOptions};
-use tpi_trace::{generate_trace, Trace, TraceError, TraceOptions};
+use tpi_trace::{generate_trace, EpochEvents, Trace, TraceError, TraceOptions};
 use tpi_workloads::{Kernel, Scale};
 
 /// Where a cell's program comes from.
@@ -443,6 +443,8 @@ impl Runner {
         self.prof
             .add("prepare/interp/doall", trace.host.doall_nanos, 1);
         self.prof.incr("interp_epochs", trace.stats.epochs);
+        let events: usize = trace.epochs.iter().map(EpochEvents::len).sum();
+        self.prof.incr("interp_events", events as u64);
     }
 
     /// A snapshot of the cache counters.
@@ -874,8 +876,14 @@ fn simulate_cell(
     }
 }
 
-/// Runs `f` over `items` on up to `threads` workers; results keep item
-/// order. Falls back to a plain loop when one worker suffices.
+/// Runs `f` over `items` on up to `threads` workers, the calling thread
+/// being one of them; results keep item order. Falls back to a plain loop
+/// when one worker suffices.
+///
+/// The calling thread works too, so memory that an earlier stage freed on
+/// it (the interpreter's table, when one trace was interpreted inline) is
+/// reused by the cells it simulates rather than staying resident beside
+/// the workers' own heaps.
 fn parallel_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     threads: usize,
     items: &[T],
@@ -887,15 +895,17 @@ fn parallel_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let r = f(item);
+        *crate::sync::lock_unpoisoned(&slots[i]) = Some(r);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(item);
-                *crate::sync::lock_unpoisoned(&slots[i]) = Some(r);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     slots
         .into_iter()
@@ -1463,6 +1473,9 @@ mod tests {
         }
         assert!(prof.counter("sim_events") > 0);
         assert_eq!(prof.counter("sim_epochs"), prof.counter("interp_epochs"));
+        // One cell replays its trace once: every event it replays is one
+        // the interpreter emitted.
+        assert_eq!(prof.counter("sim_events"), prof.counter("interp_events"));
         // A memoized re-run opens the phase scopes again but interprets
         // nothing new, so the harvested per-trace sub-stages stay put.
         let calls_before = prof.stage("prepare/interp").unwrap().calls;

@@ -159,17 +159,39 @@ impl MemLayout {
     /// for well-formed programs; out-of-bounds here indicates an IR bug).
     #[must_use]
     pub fn addr(&self, id: ArrayId, indices: &[i64]) -> WordAddr {
+        self.addr_with(id, indices, |&ix, _| ix)
+    }
+
+    /// Word address of an element of array `id`, row-major, with the index
+    /// along each dimension computed as the offset is: `index(sub, extent)`
+    /// for each of `subs` (one per dimension, outermost first) and that
+    /// dimension's extent. A caller evaluating subscript expressions needs no
+    /// index buffer, and the rank and bounds checks of [`MemLayout::addr`]
+    /// apply unchanged.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemLayout::addr`].
+    #[inline]
+    #[must_use]
+    pub fn addr_with<S>(
+        &self,
+        id: ArrayId,
+        subs: &[S],
+        mut index: impl FnMut(&S, u64) -> i64,
+    ) -> WordAddr {
         let decl = self.decl(id);
         assert_eq!(
-            indices.len(),
+            subs.len(),
             decl.dims.len(),
             "rank mismatch addressing {}: got {} indices for {} dims",
             decl.name,
-            indices.len(),
+            subs.len(),
             decl.dims.len()
         );
         let mut offset = 0u64;
-        for (&ix, &dim) in indices.iter().zip(&decl.dims) {
+        for (sub, &dim) in subs.iter().zip(&decl.dims) {
+            let ix = index(sub, dim);
             assert!(
                 ix >= 0 && (ix as u64) < dim,
                 "index {ix} out of bounds 0..{dim} for array {}",

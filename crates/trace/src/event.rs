@@ -154,38 +154,50 @@ pub struct Trace {
     pub host: InterpHostProfile,
 }
 
+impl TraceStats {
+    /// Counts one event.
+    #[inline]
+    pub(crate) fn count(&mut self, ev: &Event) {
+        match ev {
+            Event::Compute(c) => self.compute_cycles += u64::from(*c),
+            Event::Read { kind, .. } => {
+                self.reads += 1;
+                if kind.is_marked() {
+                    self.marked_reads += 1;
+                }
+            }
+            Event::Write { .. } => self.writes += 1,
+            Event::CriticalWrite { .. } => {
+                self.writes += 1;
+                self.critical_writes += 1;
+            }
+            Event::AcquireLock(_) => self.lock_acquires += 1,
+            Event::ReleaseLock(_) => {}
+            Event::PostEvent { .. } => self.posts += 1,
+            Event::WaitEvent { .. } => {}
+        }
+    }
+
+    /// Counts one epoch (its events are counted one by one).
+    pub(crate) fn count_epoch(&mut self, kind: EpochExecKind) {
+        self.epochs += 1;
+        if let EpochExecKind::Doall { iterations } = kind {
+            self.parallel_epochs += 1;
+            self.iterations += iterations;
+        }
+    }
+}
+
 impl Trace {
-    /// Recomputes aggregate statistics from the event lists.
+    /// Recomputes aggregate statistics from the event lists. The interpreter
+    /// counts the same statistics while it emits the events.
     #[must_use]
     pub fn compute_stats(epochs: &[EpochEvents]) -> TraceStats {
         let mut s = TraceStats::default();
         for e in epochs {
-            s.epochs += 1;
-            if let EpochExecKind::Doall { iterations } = e.kind {
-                s.parallel_epochs += 1;
-                s.iterations += iterations;
-            }
-            for evs in &e.per_proc {
-                for ev in evs {
-                    match ev {
-                        Event::Compute(c) => s.compute_cycles += u64::from(*c),
-                        Event::Read { kind, .. } => {
-                            s.reads += 1;
-                            if kind.is_marked() {
-                                s.marked_reads += 1;
-                            }
-                        }
-                        Event::Write { .. } => s.writes += 1,
-                        Event::CriticalWrite { .. } => {
-                            s.writes += 1;
-                            s.critical_writes += 1;
-                        }
-                        Event::AcquireLock(_) => s.lock_acquires += 1,
-                        Event::ReleaseLock(_) => {}
-                        Event::PostEvent { .. } => s.posts += 1,
-                        Event::WaitEvent { .. } => {}
-                    }
-                }
+            s.count_epoch(e.kind);
+            for ev in e.per_proc.iter().flatten() {
+                s.count(ev);
             }
         }
         s

@@ -8,16 +8,46 @@
 //! version counter (attached to every event) and checks DOALL race freedom —
 //! the paper's correctness precondition ("doall" iterations are independent
 //! tasks).
+//!
+//! # State per access
+//!
+//! Every access is the interpreter's innermost hot path, so it does no
+//! hashing:
+//!
+//! * all per-word state is one [`DenseTable`] of 28-byte records: the
+//!   word's version, and its race state within one DOALL epoch, stamped
+//!   with that epoch. A record stamped with an earlier epoch reads as
+//!   untouched, so nothing is cleared between epochs;
+//! * every read site's TPI annotation is resolved once per trace into a
+//!   table indexed by `StmtId`;
+//! * a reference's subscripts are evaluated as its row-major offset is
+//!   accumulated ([`MemLayout::addr_with`]), with no index buffer;
+//! * a DOALL epoch merges its processors' schedules through a min-heap of
+//!   their next iterations;
+//! * [`TraceStats`] are counted as events are emitted.
+//!
+//! The table is keyed by a compacted word index: shared words at their
+//! own addresses, then each processor's private replica packed after the
+//! shared span (in the trace, replicas sit a whole span apart, at
+//! `span × (p + 1)`, so keyed by address every replica would pin a page of
+//! its own). It pays for the pages the trace touches, 4,096 records
+//! (112 KiB) each: under 1 MB for the paper-scale kernels on 16
+//! processors, 56 MiB for OCEAN-large and 84 MiB for ARC2D-large on 1,024
+//! processors. It lives only while the trace is generated and is freed
+//! before the trace is returned; its pages stay below the allocator's
+//! usual mapping threshold, so the heap reuses them for the replay.
 
-use crate::event::{EpochEvents, EpochExecKind, Event, InterpHostProfile, Trace};
+use crate::event::{EpochEvents, EpochExecKind, Event, InterpHostProfile, Trace, TraceStats};
 use crate::sched::{assign, SchedulePolicy};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
 use tpi_compiler::Marking;
 use tpi_ir::epochs::{EpochShape, Segment};
 use tpi_ir::{ArrayRef, Env, Program, RefSite, Stmt, Subscript};
-use tpi_mem::{Epoch, FastMap, LineGeometry, MemLayout, ProcId, ReadKind, Sharing, WordAddr};
+use tpi_mem::{DenseTable, Epoch, FastMap, LineGeometry, MemLayout, ReadKind, Sharing, WordAddr};
 
 /// Options controlling trace generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +58,9 @@ pub struct TraceOptions {
     pub policy: SchedulePolicy,
     /// Seed for dynamic scheduling decisions.
     pub seed: u64,
-    /// Whether to verify DOALL race freedom (cheap; recommended).
+    /// Whether to verify DOALL race freedom. Recommended: the check shares
+    /// each access's one table lookup with the version counter, so it costs
+    /// a few compares per shared access. Off, a racy program still traces.
     pub check_races: bool,
     /// Line geometry used to align array bases.
     pub geometry: LineGeometry,
@@ -86,7 +118,8 @@ impl Error for TraceError {}
 /// # Errors
 ///
 /// Returns [`TraceError::Race`] if race checking is enabled and two DOALL
-/// iterations of one epoch conflict on a word.
+/// iterations of one epoch conflict on a word: the first conflicting access
+/// in execution order is the one reported.
 pub fn generate_trace(
     program: &Program,
     marking: &Marking,
@@ -94,34 +127,85 @@ pub fn generate_trace(
 ) -> Result<Trace, TraceError> {
     let shape = EpochShape::of(program);
     let layout = MemLayout::new(program.arrays.clone(), opts.geometry);
+    let site_kinds = site_kinds(program, marking);
+    let (private_base, private_words) = packed_replica(&layout);
+    private_words
+        .checked_mul(u64::from(opts.num_procs))
+        .and_then(|replicas| replicas.checked_add(layout.total_words()))
+        .expect("fewer than 2^64 words with every private replica");
     let mut interp = Interp {
         program,
         shape: &shape,
-        marking,
         opts,
         layout: &layout,
-        versions: FastMap::default(),
-        races: FastMap::default(),
+        site_kinds: &site_kinds,
+        private_base: &private_base,
+        private_words,
+        words: DenseTable::default(),
         posts: FastMap::default(),
         epochs: Vec::new(),
+        stats: TraceStats::default(),
         error: None,
         host: InterpHostProfile::default(),
     };
     let segs = shape.segment_proc(program, program.entry);
     let mut env = Env::new();
     interp.exec_segments(&segs, &mut env);
-    if let Some(e) = interp.error {
+    let Interp {
+        epochs,
+        stats,
+        error,
+        host,
+        ..
+    } = interp;
+    if let Some(e) = error {
         return Err(e);
     }
-    let stats = Trace::compute_stats(&interp.epochs);
-    let host = interp.host;
     Ok(Trace {
-        epochs: interp.epochs,
+        epochs,
         layout,
         num_procs: opts.num_procs,
         stats,
         host,
     })
+}
+
+/// The TPI annotation of every read site, indexed by statement id, then by
+/// the read's position in its statement.
+fn site_kinds(program: &Program, marking: &Marking) -> Vec<Vec<ReadKind>> {
+    let mut kinds: Vec<Vec<ReadKind>> = Vec::new();
+    program.for_each_assign(|_, a| {
+        let stmt = a.id.0 as usize;
+        if kinds.len() <= stmt {
+            kinds.resize_with(stmt + 1, Vec::new);
+        }
+        let known = &mut kinds[stmt];
+        for idx in known.len()..a.reads.len() {
+            known.push(marking.tpi_kind(RefSite {
+                stmt: a.id,
+                idx: idx as u32,
+            }));
+        }
+    });
+    kinds
+}
+
+/// Each array's offset within one packed private replica (meaningful for
+/// private arrays only), and the words one replica holds.
+fn packed_replica(layout: &MemLayout) -> (Vec<u64>, u64) {
+    let mut words = 0;
+    let base = layout
+        .decls()
+        .iter()
+        .map(|d| {
+            let at = words;
+            if d.sharing() == Sharing::Private {
+                words += d.len_words();
+            }
+            at
+        })
+        .collect();
+    (base, words)
 }
 
 /// Merged lock context of all accesses to a word within one epoch.
@@ -146,29 +230,93 @@ impl LockCtx {
     }
 }
 
-/// Per-epoch race bookkeeping for one word.
-#[derive(Debug, Default, Clone, Copy)]
-struct WordAccess {
-    writer: Option<i64>,
-    first_reader: Option<i64>,
-    multi_reader: bool,
+/// The interpreter's state for one word: its version and its race state in
+/// the DOALL epoch named by `stamp`.
+///
+/// Tasks are named by iteration *ordinal*: the iteration's position in its
+/// epoch's iteration list plus one, so zero means none. The record takes 28
+/// bytes, so a page of 4,096 (112 KiB) stays below glibc's 128 KiB mmap
+/// threshold and comes from the heap, which the replay reuses once the
+/// table is freed. Pages over the threshold would each be mapped and
+/// faulted in afresh.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct WordState {
+    /// Writes to the word so far.
+    version: u32,
+    /// DOALL epoch + 1 that the fields below describe.
+    stamp: u32,
+    /// Ordinal of the last writing iteration.
+    writer: u32,
+    /// Ordinal of the first reading iteration.
+    first_reader: u32,
+    /// Lock context merged over the epoch's accesses.
     ctx: LockCtx,
+    /// Whether a second iteration has read the word.
+    multi_reader: bool,
+}
+
+impl WordState {
+    /// Records an access by iteration `task` in the DOALL epoch stamped
+    /// `stamp`, made under lock `ctx`. If it conflicts with another
+    /// iteration's access and the word is not serialized by one lock,
+    /// returns the ordinal of the access it must be ordered after: the word's
+    /// writer for a read; for a write, its first reader, or else the writer
+    /// this write has just become.
+    fn record(&mut self, stamp: u32, task: u32, ctx: Option<u32>, is_write: bool) -> Option<u32> {
+        if self.stamp != stamp {
+            *self = WordState {
+                version: self.version,
+                stamp,
+                ..WordState::default()
+            };
+        }
+        self.ctx = self.ctx.merge(ctx);
+        let conflict = if is_write {
+            let w_conf = self.writer != 0 && self.writer != task;
+            let r_conf = self.multi_reader || (self.first_reader != 0 && self.first_reader != task);
+            self.writer = task;
+            w_conf || r_conf
+        } else {
+            if self.first_reader == 0 {
+                self.first_reader = task;
+            } else if self.first_reader != task {
+                self.multi_reader = true;
+            }
+            self.writer != 0 && self.writer != task
+        };
+        // Cross-task conflicts are permitted when every access to the word
+        // is critical under one single lock.
+        if !conflict || matches!(self.ctx, LockCtx::Uniform(_)) {
+            return None;
+        }
+        Some(if is_write && self.first_reader != 0 {
+            self.first_reader
+        } else {
+            self.writer
+        })
+    }
 }
 
 struct Interp<'a> {
     program: &'a Program,
     shape: &'a EpochShape,
-    marking: &'a Marking,
     opts: &'a TraceOptions,
     layout: &'a MemLayout,
-    versions: FastMap<u64, u64>,
-    /// Per-epoch race table, hoisted here so its capacity is reused across
-    /// epochs (cleared at the start of every DOALL epoch).
-    races: FastMap<u64, WordAccess>,
-    /// Per-epoch post table ((event, index) -> posting task), likewise
-    /// hoisted and cleared per epoch.
-    posts: FastMap<(u32, i64), i64>,
+    site_kinds: &'a [Vec<ReadKind>],
+    /// Each array's offset within a packed private replica (private arrays
+    /// only).
+    private_base: &'a [u64],
+    /// Words in one packed private replica.
+    private_words: u64,
+    /// Version and race state of every word touched so far, keyed by its
+    /// index: the shared segment, then one packed private replica per
+    /// processor.
+    words: DenseTable<WordState>,
+    /// Per-epoch post table ((event, index) -> posting iteration's
+    /// ordinal), hoisted so its capacity is reused and cleared per epoch.
+    posts: FastMap<(u32, i64), u32>,
     epochs: Vec<EpochEvents>,
+    stats: TraceStats,
     error: Option<TraceError>,
     host: InterpHostProfile,
 }
@@ -217,6 +365,35 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// The context of one task on processor `proc`, emitting into `sink`.
+    /// `race_stamp` is the DOALL epoch + 1 whose races the task checks
+    /// (0: none), and `task` its iteration ordinal.
+    fn task<'b>(
+        &'b mut self,
+        proc: u32,
+        sink: &'b mut Vec<Event>,
+        race_stamp: u32,
+        task: u32,
+    ) -> TaskCtx<'a, 'b> {
+        TaskCtx {
+            words: &mut self.words,
+            layout: self.layout,
+            program: self.program,
+            site_kinds: self.site_kinds,
+            private_base: self.private_base,
+            replica_addr: self.layout.total_words() * (u64::from(proc) + 1),
+            replica_record: self.layout.total_words() + self.private_words * u64::from(proc),
+            sink,
+            stats: &mut self.stats,
+            race_stamp,
+            task,
+            race_found: None,
+            critical: None,
+            posts: &mut self.posts,
+            waited: Vec::new(),
+        }
+    }
+
     fn exec_serial_epoch(&mut self, stmts: &[&'a Stmt], env: &mut Env) {
         let host_start = Instant::now();
         let epoch = Epoch(self.epochs.len() as u64);
@@ -228,25 +405,12 @@ impl<'a> Interp<'a> {
             0
         };
         {
-            let mut task = TaskCtx {
-                interp_versions: &mut self.versions,
-                layout: self.layout,
-                program: self.program,
-                marking: self.marking,
-                num_procs: self.opts.num_procs,
-                proc: ProcId(serial_proc),
-                sink: &mut per_proc[serial_proc as usize],
-                races: None,
-                task_id: 0,
-                race_found: None,
-                critical: None,
-                posts: &mut self.posts,
-                waited: Vec::new(),
-            };
+            let mut task = self.task(serial_proc, &mut per_proc[serial_proc as usize], 0, 0);
             for s in stmts {
                 task.exec_stmt(s, env);
             }
         }
+        self.stats.count_epoch(EpochExecKind::Serial);
         self.epochs.push(EpochEvents {
             epoch,
             kind: EpochExecKind::Serial,
@@ -277,46 +441,34 @@ impl<'a> Interp<'a> {
             epoch.0,
         );
         let mut per_proc: Vec<Vec<Event>> = vec![Vec::new(); self.opts.num_procs as usize];
-        self.races.clear();
         self.posts.clear();
+        let race_stamp = if self.opts.check_races {
+            u32::try_from(epoch.0 + 1).expect("fewer than 2^32 epochs")
+        } else {
+            0
+        };
         // Iterations run in a merged order that respects each processor's
-        // schedule while globally favouring the smallest iteration value:
-        // for ascending per-processor schedules this is ascending iteration
-        // order, which makes forward post/wait dependences (doacross)
-        // functionally consistent.
-        let procs = self.opts.num_procs as usize;
-        let mut fronts = vec![0usize; procs];
-        loop {
-            let mut next: Option<usize> = None;
-            for p in 0..procs {
-                let q = assignment.iterations(ProcId(p as u32));
-                if fronts[p] < q.len()
-                    && next.is_none_or(|b: usize| {
-                        q[fronts[p]] < assignment.iterations(ProcId(b as u32))[fronts[b]]
-                    })
-                {
-                    next = Some(p);
-                }
-            }
-            let Some(p) = next else { break };
-            let iter = assignment.iterations(ProcId(p as u32))[fronts[p]];
+        // schedule while globally favouring the smallest iteration value
+        // (ties to the lower processor): for ascending per-processor
+        // schedules this is ascending iteration order, which makes forward
+        // post/wait dependences (doacross) functionally consistent. The
+        // heap holds each processor's next iteration.
+        let schedules = assignment.per_proc();
+        let mut fronts = vec![0usize; schedules.len()];
+        let mut next: BinaryHeap<Reverse<(i64, usize)>> = schedules
+            .iter()
+            .enumerate()
+            .filter_map(|(p, q)| q.first().map(|&iter| Reverse((iter, p))))
+            .collect();
+        while let Some(Reverse((iter, p))) = next.pop() {
             fronts[p] += 1;
+            if let Some(&after) = schedules[p].get(fronts[p]) {
+                next.push(Reverse((after, p)));
+            }
+            let ordinal = u32::try_from((iter - lo) / l.step + 1)
+                .expect("fewer than 2^32 iterations per DOALL");
             env.bind(l.var, iter);
-            let mut task = TaskCtx {
-                interp_versions: &mut self.versions,
-                layout: self.layout,
-                program: self.program,
-                marking: self.marking,
-                num_procs: self.opts.num_procs,
-                proc: ProcId(p as u32),
-                sink: &mut per_proc[p],
-                races: self.opts.check_races.then_some(&mut self.races),
-                task_id: iter,
-                race_found: None,
-                critical: None,
-                posts: &mut self.posts,
-                waited: Vec::new(),
-            };
+            let mut task = self.task(p as u32, &mut per_proc[p], race_stamp, ordinal);
             for s in &l.body {
                 task.exec_stmt(s, env);
             }
@@ -327,11 +479,13 @@ impl<'a> Interp<'a> {
             }
         }
         env.unbind(l.var);
+        let kind = EpochExecKind::Doall {
+            iterations: values.len() as u64,
+        };
+        self.stats.count_epoch(kind);
         self.epochs.push(EpochEvents {
             epoch,
-            kind: EpochExecKind::Doall {
-                iterations: values.len() as u64,
-            },
+            kind,
             per_proc,
         });
         self.host.doall_nanos = self
@@ -343,37 +497,49 @@ impl<'a> Interp<'a> {
 
 /// Execution context of one task (a serial epoch or one DOALL iteration).
 struct TaskCtx<'a, 'b> {
-    interp_versions: &'b mut FastMap<u64, u64>,
+    words: &'b mut DenseTable<WordState>,
     layout: &'a MemLayout,
     program: &'a Program,
-    marking: &'a Marking,
-    num_procs: u32,
-    proc: ProcId,
+    site_kinds: &'a [Vec<ReadKind>],
+    private_base: &'a [u64],
+    /// Where this processor's private replica starts in the trace: each
+    /// processor owns a disjoint replica region above the shared segment.
+    replica_addr: u64,
+    /// Where this processor's packed private replica starts among the
+    /// table's indices.
+    replica_record: u64,
     sink: &'b mut Vec<Event>,
-    races: Option<&'b mut FastMap<u64, WordAccess>>,
-    task_id: i64,
+    stats: &'b mut TraceStats,
+    /// DOALL epoch + 1 whose races this task checks; 0 checks none (serial
+    /// epochs, or race checking off).
+    race_stamp: u32,
+    /// The task's iteration ordinal (0 in serial epochs).
+    task: u32,
     race_found: Option<WordAddr>,
     /// Lock currently held (inside a critical section).
     critical: Option<u32>,
-    /// Posts performed so far this epoch: (event, index) -> posting task.
-    posts: &'b mut FastMap<(u32, i64), i64>,
+    /// Posts performed so far this epoch: (event, index) -> posting
+    /// iteration's ordinal.
+    posts: &'b mut FastMap<(u32, i64), u32>,
     /// (event, index) pairs this task has waited on so far.
     waited: Vec<(u32, i64)>,
 }
 
-impl<'a, 'b> TaskCtx<'a, 'b> {
+impl<'a> TaskCtx<'a, '_> {
+    fn emit(&mut self, ev: Event) {
+        self.stats.count(&ev);
+        self.sink.push(ev);
+    }
+
     fn exec_stmt(&mut self, s: &'a Stmt, env: &mut Env) {
         match s {
             Stmt::Assign(a) => {
-                for (idx, r) in a.reads.iter().enumerate() {
-                    let site = RefSite {
-                        stmt: a.id,
-                        idx: idx as u32,
-                    };
-                    self.do_read(r, site, env);
+                let kinds = &self.site_kinds[a.id.0 as usize];
+                for (r, &kind) in a.reads.iter().zip(kinds) {
+                    self.do_read(r, kind, env);
                 }
                 if a.cost > 0 {
-                    self.sink.push(Event::Compute(a.cost));
+                    self.emit(Event::Compute(a.cost));
                 }
                 if let Some(w) = &a.write {
                     self.do_write(w, env);
@@ -411,18 +577,18 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
                 }
             }
             Stmt::Critical(c) => {
-                self.sink.push(Event::AcquireLock(c.lock.0));
+                self.emit(Event::AcquireLock(c.lock.0));
                 let prev = self.critical.replace(c.lock.0);
                 for s in &c.body {
                     self.exec_stmt(s, env);
                 }
                 self.critical = prev;
-                self.sink.push(Event::ReleaseLock(c.lock.0));
+                self.emit(Event::ReleaseLock(c.lock.0));
             }
             Stmt::Post { event, index } => {
                 let k = index.eval(env);
-                self.posts.insert((event.0, k), self.task_id);
-                self.sink.push(Event::PostEvent {
+                self.posts.insert((event.0, k), self.task);
+                self.emit(Event::PostEvent {
                     event: event.0,
                     index: k,
                 });
@@ -430,7 +596,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
             Stmt::Wait { event, index } => {
                 let k = index.eval(env);
                 self.waited.push((event.0, k));
-                self.sink.push(Event::WaitEvent {
+                self.emit(Event::WaitEvent {
                     event: event.0,
                     index: k,
                 });
@@ -441,118 +607,85 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         }
     }
 
-    fn addr_of(&self, r: &ArrayRef, env: &Env) -> (WordAddr, bool) {
-        // addr_of runs once per memory reference — the interpreter's
-        // innermost hot path — so subscripts are evaluated into a fixed
-        // stack buffer instead of a fresh Vec per access. Ranks above the
-        // buffer size (unheard of in the paper's kernels) fall back to heap.
-        const MAX_RANK: usize = 8;
-        let decl = self.program.array(r.array);
-        let eval_sub = |(s, &extent): (&Subscript, &u64)| match s {
-            Subscript::Affine(a) => a.eval(env),
-            Subscript::Opaque(o) => o.eval(env, extent),
-        };
-        let mut stack = [0i64; MAX_RANK];
-        let heap: Vec<i64>;
-        let indices: &[i64] = if r.subs.len() <= MAX_RANK {
-            let mut n = 0;
-            for pair in r.subs.iter().zip(decl.dims()) {
-                stack[n] = eval_sub(pair);
-                n += 1;
-            }
-            &stack[..n]
-        } else {
-            heap = r.subs.iter().zip(decl.dims()).map(eval_sub).collect();
-            &heap
-        };
-        let base = self.layout.addr(r.array, indices);
-        match decl.sharing() {
-            Sharing::Shared => (base, true),
+    /// The word `r` addresses on this task's processor, the index of its
+    /// record in the table, and whether it is shared.
+    fn addr_of(&self, r: &ArrayRef, env: &Env) -> (WordAddr, u64, bool) {
+        let addr = self
+            .layout
+            .addr_with(r.array, &r.subs, |s, extent| match s {
+                Subscript::Affine(a) => a.eval(env),
+                Subscript::Opaque(o) => o.eval(env, extent),
+            });
+        match self.layout.decl(r.array).sharing() {
+            Sharing::Shared => (addr, addr.0, true),
             Sharing::Private => {
-                // Each processor owns a disjoint replica region above the
-                // shared segment.
-                let span = self.layout.total_words();
-                (
-                    WordAddr(base.0 + span * (u64::from(self.proc.0) + 1)),
-                    false,
-                )
+                let within = addr.0 - self.layout.base(r.array).0;
+                let record = self.replica_record + self.private_base[r.array.0 as usize] + within;
+                (WordAddr(addr.0 + self.replica_addr), record, false)
             }
         }
     }
 
-    fn do_read(&mut self, r: &ArrayRef, site: RefSite, env: &Env) {
-        let (addr, shared) = self.addr_of(r, env);
-        if shared {
-            self.track_race(addr, false);
-        }
-        let version = self.interp_versions.get(&addr.0).copied().unwrap_or(0);
+    fn do_read(&mut self, r: &ArrayRef, site_kind: ReadKind, env: &Env) {
+        let (addr, record, shared) = self.addr_of(r, env);
+        let version = if shared && self.race_stamp != 0 {
+            let word = self.words.get_mut(record);
+            let prior = word.record(self.race_stamp, self.task, self.critical, false);
+            let version = word.version;
+            if let Some(prior) = prior {
+                self.conflict(addr, prior);
+            }
+            version
+        } else {
+            self.words.get(record).version
+        };
         let kind = if !shared {
             ReadKind::Plain
         } else if self.critical.is_some() {
             ReadKind::Critical
         } else {
-            self.marking.tpi_kind(site)
+            site_kind
         };
-        self.sink.push(Event::Read {
+        self.emit(Event::Read {
             addr,
             kind,
-            version,
+            version: u64::from(version),
         });
     }
 
     fn do_write(&mut self, w: &ArrayRef, env: &Env) {
-        let (addr, shared) = self.addr_of(w, env);
-        if shared {
-            self.track_race(addr, true);
-        }
-        let v = self.interp_versions.entry(addr.0).or_insert(0);
-        *v += 1;
-        let version = *v;
-        if shared && self.critical.is_some() {
-            self.sink.push(Event::CriticalWrite { addr, version });
+        let (addr, record, shared) = self.addr_of(w, env);
+        let word = self.words.get_mut(record);
+        let prior = if shared && self.race_stamp != 0 {
+            word.record(self.race_stamp, self.task, self.critical, true)
         } else {
-            self.sink.push(Event::Write { addr, version });
+            None
+        };
+        word.version = word
+            .version
+            .checked_add(1)
+            .expect("fewer than 2^32 writes to one word");
+        let version = u64::from(word.version);
+        if let Some(prior) = prior {
+            self.conflict(addr, prior);
+        }
+        if shared && self.critical.is_some() {
+            self.emit(Event::CriticalWrite { addr, version });
+        } else {
+            self.emit(Event::Write { addr, version });
         }
     }
 
-    fn track_race(&mut self, addr: WordAddr, is_write: bool) {
-        let task = self.task_id;
-        let _ = self.num_procs;
-        let ctx = self.critical;
-        if let Some(races) = self.races.as_deref_mut() {
-            let e = races.entry(addr.0).or_default();
-            e.ctx = e.ctx.merge(ctx);
-            let conflict = if is_write {
-                let w_conf = e.writer.is_some_and(|w| w != task);
-                let r_conf = e.multi_reader || e.first_reader.is_some_and(|r| r != task);
-                e.writer = Some(task);
-                w_conf || r_conf
-            } else {
-                match e.first_reader {
-                    None => e.first_reader = Some(task),
-                    Some(r) if r != task => e.multi_reader = true,
-                    _ => {}
-                }
-                e.writer.is_some_and(|w| w != task)
-            };
-            // Cross-task conflicts are permitted when every access to the
-            // word is critical under one single lock, or when this task has
-            // synchronized (waited on an event posted by) the prior
-            // accessor — the doacross ordering of Section 5.
-            let serialized = matches!(e.ctx, LockCtx::Uniform(_));
-            let prior = if is_write {
-                e.first_reader.or(e.writer)
-            } else {
-                e.writer
-            };
-            let ordered = prior.is_some_and(|other| {
-                self.waited
-                    .iter()
-                    .any(|key| self.posts.get(key) == Some(&other))
-            });
-            if conflict && !serialized && !ordered && self.race_found.is_none() {
-                self.race_found = Some(addr);
-            }
+    /// Reports a conflict on `addr` with iteration `prior` as a race unless
+    /// this task has synchronized with it: waited on an event `prior`
+    /// posted — the doacross ordering of Section 5.
+    fn conflict(&mut self, addr: WordAddr, prior: u32) {
+        let ordered = self
+            .waited
+            .iter()
+            .any(|key| self.posts.get(key) == Some(&prior));
+        if !ordered && self.race_found.is_none() {
+            self.race_found = Some(addr);
         }
     }
 }
@@ -561,7 +694,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
 mod tests {
     use super::*;
     use tpi_compiler::{mark_program, CompilerOptions};
-    use tpi_ir::{subs, ProgramBuilder};
+    use tpi_ir::{subs, Cond, ProgramBuilder};
 
     fn trace_of(
         build: impl FnOnce(&mut ProgramBuilder) -> tpi_ir::ProcIdx,
@@ -717,6 +850,56 @@ mod tests {
     }
 
     #[test]
+    fn private_versions_count_each_replica_alone() {
+        // Private arrays interleave with shared ones in the layout; every
+        // processor's replica of each must keep its own version count.
+        let t = trace_of(
+            |p| {
+                let a = p.shared("A", [8]);
+                let w1 = p.private("W1", [5]);
+                let b = p.shared("B", [8]);
+                let w2 = p.private("W2", [3]);
+                p.proc("main", |f| {
+                    for _ in 0..2 {
+                        f.doall(0, 7, |i, f| {
+                            f.serial(0, 4, |j, f| {
+                                f.store(w1.at(subs![j]), vec![w1.at(subs![j])], 1)
+                            });
+                            f.serial(0, 2, |j, f| {
+                                f.store(w2.at(subs![j]), vec![w2.at(subs![j]), a.at(subs![i])], 1)
+                            });
+                            f.store(b.at(subs![i]), vec![], 1);
+                        });
+                    }
+                })
+            },
+            &TraceOptions {
+                num_procs: 3,
+                ..TraceOptions::default()
+            },
+        )
+        .unwrap();
+        let span = t.layout.total_words();
+        let mut writes: std::collections::HashMap<u64, u64> = Default::default();
+        for p in 0..3 {
+            for ev in t.epochs.iter().flat_map(|e| &e.per_proc[p]) {
+                match *ev {
+                    Event::Read { addr, version, .. } if addr.0 >= span => {
+                        assert_eq!(version, writes.get(&addr.0).copied().unwrap_or(0));
+                    }
+                    Event::Write { addr, version } if addr.0 >= span => {
+                        let n = writes.entry(addr.0).or_default();
+                        *n += 1;
+                        assert_eq!(version, *n, "{addr} on processor {p}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(writes.len(), 3 * (5 + 3), "every replica word was written");
+    }
+
+    #[test]
     fn serial_epochs_run_on_proc_zero() {
         let t = trace_of(
             |p| {
@@ -753,6 +936,210 @@ mod tests {
         for (e1, e2) in t1.epochs.iter().zip(&t2.epochs) {
             assert_eq!(e1.per_proc, e2.per_proc);
         }
+    }
+
+    #[test]
+    fn table_pages_stay_under_the_mmap_threshold() {
+        let page = std::mem::size_of::<WordState>() * tpi_mem::dense::PAGE_ENTRIES;
+        assert!(page < 128 << 10, "{page}-byte pages");
+    }
+
+    /// Every write event of `t`'s epoch `epoch`, as `(addr, version)`.
+    fn writes_of(t: &Trace, epoch: usize) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = t.epochs[epoch]
+            .per_proc
+            .iter()
+            .flatten()
+            .filter_map(|e| match e {
+                Event::Write { addr, version } => Some((addr.0, *version)),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn race_state_resets_between_doall_epochs() {
+        // A(1) is written by the second iteration of epoch 0 and by the
+        // first of epoch 1: two different tasks, but in different epochs.
+        let t = trace_of(
+            |p| {
+                let a = p.shared("A", [16]);
+                p.proc("main", |f| {
+                    f.doall(0, 15, |i, f| f.store(a.at(subs![i]), vec![], 1));
+                    f.doall(0, 14, |i, f| {
+                        f.store(a.at(subs![i + 1]), vec![a.at(subs![i + 1])], 1)
+                    });
+                })
+            },
+            &TraceOptions::default(),
+        )
+        .expect("conflicts across epochs are not races");
+        // Versions carry across the epoch that reset the race state.
+        assert_eq!(
+            writes_of(&t, 1),
+            (1..16).map(|w| (w, 2)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn lock_serialized_conflicts_are_allowed() {
+        let t = trace_of(
+            |p| {
+                let a = p.shared("A", [1]);
+                let lock = p.lock();
+                p.proc("main", |f| {
+                    f.doall(0, 15, |_i, f| {
+                        f.critical(lock, |f| f.store(a.at(subs![0]), vec![a.at(subs![0])], 1))
+                    });
+                })
+            },
+            &TraceOptions::default(),
+        )
+        .expect("every access is critical under one lock");
+        assert_eq!(t.stats.critical_writes, 16);
+    }
+
+    #[test]
+    fn mixed_lock_contexts_race() {
+        let critical_then_plain = |p: &mut ProgramBuilder| {
+            let a = p.shared("A", [1]);
+            let lock = p.lock();
+            p.proc("main", |f| {
+                f.doall(0, 15, |_i, f| {
+                    f.critical(lock, |f| f.store(a.at(subs![0]), vec![], 1));
+                    f.load(vec![a.at(subs![0])], 1);
+                })
+            })
+        };
+        let two_locks = |p: &mut ProgramBuilder| {
+            let a = p.shared("A", [1]);
+            let (l1, l2) = (p.lock(), p.lock());
+            p.proc("main", |f| {
+                f.doall(0, 15, |i, f| {
+                    f.if_else(
+                        Cond::EveryN {
+                            var: i,
+                            modulus: 2,
+                            phase: 0,
+                        },
+                        |f| f.critical(l1, |f| f.store(a.at(subs![0]), vec![], 1)),
+                        |f| f.critical(l2, |f| f.store(a.at(subs![0]), vec![], 1)),
+                    )
+                })
+            })
+        };
+        for build in [
+            &critical_then_plain as &dyn Fn(&mut ProgramBuilder) -> tpi_ir::ProcIdx,
+            &two_locks,
+        ] {
+            let err = trace_of(build, &TraceOptions::default()).unwrap_err();
+            assert_eq!(
+                err,
+                TraceError::Race {
+                    addr: WordAddr(0),
+                    epoch: Epoch(0)
+                }
+            );
+        }
+    }
+
+    /// A doacross chain over iterations 5, 8, ..., 50: each iteration but
+    /// the first reads the word its predecessor wrote, after waiting for
+    /// the predecessor's post when `ordered`.
+    fn strided_chain(p: &mut ProgramBuilder, ordered: bool) -> tpi_ir::ProcIdx {
+        let x = p.shared("X", [64]);
+        let ev = p.event();
+        p.proc("main", |f| {
+            f.doall_step(5, 50, 3, |i, f| {
+                f.if_else(
+                    Cond::EveryN {
+                        var: i,
+                        modulus: i64::MAX,
+                        phase: 5,
+                    },
+                    |f| f.store(x.at(subs![i]), vec![], 1),
+                    |f| {
+                        if ordered {
+                            f.wait(ev, i - 3);
+                        }
+                        f.store(x.at(subs![i]), vec![x.at(subs![i - 3])], 1);
+                    },
+                );
+                f.post(ev, i);
+            })
+        })
+    }
+
+    #[test]
+    fn strided_doacross_is_ordered_by_post_and_wait() {
+        let opts = TraceOptions {
+            num_procs: 4,
+            ..TraceOptions::default()
+        };
+        let t = trace_of(|p| strided_chain(p, true), &opts).expect("the chain is ordered");
+        assert_eq!(t.stats.iterations, 16);
+        assert_eq!(t.stats.posts, 16);
+        // Unordered, the second iteration's read of the first one's write
+        // is the first conflict.
+        let err = trace_of(|p| strided_chain(p, false), &opts).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Race {
+                addr: WordAddr(5),
+                epoch: Epoch(0)
+            }
+        );
+    }
+
+    #[test]
+    fn unchecked_races_still_trace() {
+        let t = trace_of(
+            |p| {
+                let a = p.shared("A", [64]);
+                p.proc("main", |f| {
+                    f.doall(0, 63, |_i, f| f.store(a.at(subs![0]), vec![], 1));
+                })
+            },
+            &TraceOptions {
+                check_races: false,
+                ..TraceOptions::default()
+            },
+        )
+        .expect("race checking is off");
+        assert_eq!(
+            writes_of(&t, 0),
+            (1..=64).map(|v| (0, v)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn the_first_conflict_in_execution_order_is_reported() {
+        // Epoch 0 is clean. In epoch 1 the second iteration conflicts
+        // first on B(7), then on A(3), which lies at a lower address.
+        let err = trace_of(
+            |p| {
+                let a = p.shared("A", [64]);
+                let b = p.shared("B", [64]);
+                p.proc("main", |f| {
+                    f.doall(0, 63, |i, f| f.store(a.at(subs![i]), vec![], 1));
+                    f.doall(0, 15, |_i, f| {
+                        f.store(b.at(subs![7]), vec![], 1);
+                        f.store(a.at(subs![3]), vec![], 1);
+                    });
+                })
+            },
+            &TraceOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Race {
+                addr: WordAddr(64 + 7),
+                epoch: Epoch(1)
+            }
+        );
     }
 
     #[test]
