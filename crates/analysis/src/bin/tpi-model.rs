@@ -121,11 +121,12 @@ fn print_human(report: &ModelReport) {
             "verified".to_string()
         };
         println!(
-            "  {:<10} programs={:<4} states={:<8} schedules={:<8} {verdict}",
+            "  {:<10} programs={:<4} states={:<8} schedules={:<8} claims={:<8} {verdict}",
             s.scheme.as_str(),
             s.programs,
             s.states,
             s.schedules,
+            s.claims,
         );
         for v in &s.violations {
             println!("    {}", v.diagnostic().human());
@@ -155,11 +156,12 @@ fn print_json(report: &ModelReport) {
         let diags: Vec<_> = s.violations.iter().map(|v| v.diagnostic()).collect();
         out.push_str(&format!(
             "{{\"scheme\":{},\"programs\":{},\"states\":{},\"schedules\":{},\
-             \"truncated\":{},\"violations\":{}}}",
+             \"claims\":{},\"truncated\":{},\"violations\":{}}}",
             json_string(s.scheme.as_str()),
             s.programs,
             s.states,
             s.schedules,
+            s.claims,
             s.truncated,
             diagnostics_json(&diags),
         ));

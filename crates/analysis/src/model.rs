@@ -43,6 +43,20 @@
 //! when reached with a smaller one) from arising at all: equal key ⇒
 //! identical residual search problem.
 //!
+//! # Run-ahead rules
+//!
+//! The heap replay of `tpi-sim` lets a processor issue an access ahead of
+//! processors with smaller clocks when the engine declares that it
+//! commutes with the rest of its epoch ([`CoherenceEngine::commutes`]).
+//! At every explored state the checker holds each engine to that claim:
+//! for every enabled access `a` the engine declares commuting (the table
+//! built from the program's current epoch) and every enabled access `b`
+//! of another processor, `a` then `b` and `b` then `a` must give equal
+//! outcomes and equal fingerprints, and `a` must still commute after `b`.
+//! A broken claim is reported as the invariant `run-ahead-commutes`, its
+//! trace the state's prefix followed by `a` and `b`. The check replays
+//! more schedules but visits no new state, so state counts are unchanged.
+//!
 //! Counterexamples are shrunk to a 1-minimal interleaving by greedy
 //! delta debugging (drop any single step while the same invariant still
 //! fires, to fixpoint) and reported as [`Code::Tpi901`] diagnostics.
@@ -53,7 +67,9 @@ use std::hash::{Hash, Hasher};
 
 use tpi::cache::CacheConfig;
 use tpi::proto::registry::{self, Scheme};
-use tpi::proto::{CoherenceEngine, EngineConfig, ModelInvariant, SchemeId};
+use tpi::proto::{
+    AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs, ModelInvariant, SchemeId,
+};
 use tpi::{catch_cell_panic, EngineStepper};
 use tpi_mem::{LineGeometry, ProcId, WordAddr};
 use tpi_testkit::exhaustive;
@@ -93,6 +109,9 @@ pub enum Layout {
     /// One word per cache line, each line in its own set (stresses
     /// cross-line independence and the sleep-set reduction).
     Spread,
+    /// One word per cache line, every line in the same set, so each
+    /// fill evicts the last (stresses victims and LRU state).
+    Conflict,
 }
 
 /// A bounded multi-epoch access program: `epochs[e][p]` is the ordered
@@ -121,6 +140,9 @@ impl Program {
         match self.layout {
             Layout::Packed => WordAddr(u64::from(word)),
             Layout::Spread => WordAddr(u64::from(word) * u64::from(MODEL_LINE_WORDS)),
+            Layout::Conflict => {
+                WordAddr(u64::from(word) * u64::from(MODEL_LINE_WORDS) * u64::from(MODEL_SETS))
+            }
         }
     }
 
@@ -264,6 +286,12 @@ impl fmt::Debug for ModelOptions {
 /// Words per line of the model cache (also the spread-layout stride).
 pub const MODEL_LINE_WORDS: u32 = 4;
 
+/// Sets of the model cache (the conflict layout's stride in lines).
+pub const MODEL_SETS: u32 = 8;
+
+/// The invariant a broken run-ahead claim violates (see the module docs).
+pub const RUN_AHEAD_COMMUTES: &str = "run-ahead-commutes";
+
 /// The tiny machine every model program runs on: 128-byte direct-mapped
 /// caches (8 lines of 4 words — small enough that evictions happen
 /// within a 4-word program), 2-bit timetags (phase resets fire within
@@ -339,6 +367,10 @@ pub struct SchemeReport {
     pub states: u64,
     /// Complete interleavings reached (after reduction), summed.
     pub schedules: u64,
+    /// Run-ahead claims checked: ordered pairs of enabled accesses of two
+    /// processors whose first the engine declared commuting, summed over
+    /// explored states.
+    pub claims: u64,
     /// Whether any program hit the `max_states` budget.
     pub truncated: bool,
     /// Violations found (at most one: the sweep stops at the first).
@@ -386,7 +418,8 @@ impl ModelReport {
 
 /// Hand-written scenario programs covering the hazards the enumerated
 /// suite cannot reach at small depth: critical sections, false sharing,
-/// and timetag wrap-around (which needs `2^tag_bits + 2` epochs).
+/// timetag wrap-around (which needs `2^tag_bits + 2` epochs), and the
+/// copies, victims and set-mates a run-ahead claim must not disturb.
 #[must_use]
 pub fn scenario_programs(procs: u32, words: u32) -> Vec<Program> {
     let p = procs as usize;
@@ -552,6 +585,43 @@ pub fn scenario_programs(procs: u32, words: u32) -> Vec<Program> {
         epochs: reset,
     });
 
+    if w >= 2 && p >= 2 {
+        // Run-ahead hazards: w0's and w1's lines share a set. In the
+        // holder program p1 keeps w0's line from the first epoch (a
+        // directory owner, an update-protocol sharer) and evicts it by
+        // filling w1's while p0 writes w0; in the victim program p0
+        // evicts its own copy of w0's line that way while p1 writes w0.
+        let two = |e0: Vec<Access>, e1: Vec<Access>| -> Vec<Vec<Access>> {
+            (0..p)
+                .map(|q| match q {
+                    0 => e0.clone(),
+                    1 => e1.clone(),
+                    _ => Vec::new(),
+                })
+                .collect()
+        };
+        out.push(Program {
+            name: "run-ahead-holder".into(),
+            procs,
+            words: w,
+            layout: Layout::Conflict,
+            epochs: vec![
+                two(vec![], vec![write(0)]),
+                two(vec![write(0)], vec![read(1)]),
+            ],
+        });
+        out.push(Program {
+            name: "run-ahead-victim".into(),
+            procs,
+            words: w,
+            layout: Layout::Conflict,
+            epochs: vec![
+                two(vec![read(0)], vec![]),
+                two(vec![read(1)], vec![write(0)]),
+            ],
+        });
+    }
+
     debug_assert!(out.iter().all(Program::is_drf), "scenario program is racy");
     out
 }
@@ -715,6 +785,7 @@ pub fn check_scheme(
         programs: 0,
         states: 0,
         schedules: 0,
+        claims: 0,
         truncated: false,
         violations: Vec::new(),
     };
@@ -724,6 +795,7 @@ pub fn check_scheme(
         report.programs += 1;
         report.states += explorer.states;
         report.schedules += explorer.schedules;
+        report.claims += explorer.claims;
         report.truncated |= explorer.truncated;
         if let Some((trace, invariant, message)) = explorer.violation {
             let (trace, message) =
@@ -752,13 +824,20 @@ fn explorer_shrink(
     mut message: String,
 ) -> (Vec<Step>, String) {
     let explorer = Explorer::new(scheme, program, opts);
+    let fires = |candidate: &[Step]| {
+        if invariant == RUN_AHEAD_COMMUTES {
+            explorer.check_claim(candidate)
+        } else {
+            explorer.run(candidate).map(drop)
+        }
+    };
     loop {
         let mut improved = false;
         let mut i = 0;
         while i < trace.len() {
             let mut candidate = trace.clone();
             candidate.remove(i);
-            match explorer.run(&candidate) {
+            match fires(&candidate) {
                 Err((name, msg)) if name == invariant => {
                     trace = candidate;
                     message = msg;
@@ -773,6 +852,10 @@ fn explorer_shrink(
     }
 }
 
+/// A replayed stepper and the outcomes of the steps replayed last (an
+/// access's outcome; `None` for a barrier).
+type Replayed = (EngineStepper, Vec<Option<AccessOutcome>>);
+
 /// Stateless DFS over the interleavings of one (scheme, program) pair.
 struct Explorer<'a> {
     scheme: &'static dyn Scheme,
@@ -784,6 +867,7 @@ struct Explorer<'a> {
     visited: HashSet<u64>,
     states: u64,
     schedules: u64,
+    claims: u64,
     truncated: bool,
     /// First violation: (full path ending at the violating step,
     /// invariant name, message).
@@ -803,6 +887,7 @@ impl<'a> Explorer<'a> {
             visited: HashSet::new(),
             states: 0,
             schedules: 0,
+            claims: 0,
             truncated: false,
             violation: None,
         }
@@ -811,7 +896,11 @@ impl<'a> Explorer<'a> {
     fn explore(&mut self) {
         let mut path = Vec::new();
         let mut pos = vec![0usize; self.program.procs as usize];
-        self.dfs(&mut path, 0, &mut pos, &[]);
+        let root = EngineStepper::new(self.scheme.id(), self.cfg.clone());
+        match self.check_claims(&root, &path, 0, &pos) {
+            Err(found) => self.violation = Some(found),
+            Ok(()) => self.dfs(&mut path, 0, &mut pos, &[]),
+        }
     }
 
     fn stop(&self) -> bool {
@@ -855,9 +944,15 @@ impl<'a> Explorer<'a> {
                         Step::Boundary => (epoch + 1, None),
                         Step::Op { proc, .. } => (epoch, Some(proc as usize)),
                     };
-                    if let Some(p) = advanced {
-                        pos[p] += 1;
-                    }
+                    // The barrier starts every processor at the head of
+                    // the next epoch's sequence.
+                    let before = match advanced {
+                        Some(p) => {
+                            pos[p] += 1;
+                            None
+                        }
+                        None => Some(std::mem::replace(pos, vec![0; pos.len()])),
+                    };
                     // A transition sleeps in the child only while it
                     // stays independent of what just executed; the
                     // barrier is dependent with everything.
@@ -867,10 +962,14 @@ impl<'a> Explorer<'a> {
                         .copied()
                         .collect();
                     if self.visit(&stepper, child_epoch, pos, &child_sleep) {
-                        self.dfs(path, child_epoch, pos, &child_sleep);
+                        match self.check_claims(&stepper, path, child_epoch, pos) {
+                            Err(found) => self.violation = Some(found),
+                            Ok(()) => self.dfs(path, child_epoch, pos, &child_sleep),
+                        }
                     }
-                    if let Some(p) = advanced {
-                        pos[p] -= 1;
+                    match before {
+                        Some(before) => *pos = before,
+                        None => pos[advanced.expect("an access advanced")] -= 1,
                     }
                 }
             }
@@ -934,39 +1033,167 @@ impl<'a> Explorer<'a> {
         (line.0 % self.num_sets as u64) as usize
     }
 
+    /// Checks the engine's run-ahead claims at the state `stepper` holds
+    /// (reached by `path`, in `epoch`, at program positions `pos`): every
+    /// ordered pair of enabled accesses of two processors whose first the
+    /// engine declares commuting. Returns the first broken claim as
+    /// `(trace, invariant, message)`.
+    fn check_claims(
+        &mut self,
+        stepper: &EngineStepper,
+        path: &[Step],
+        epoch: usize,
+        pos: &[usize],
+    ) -> Result<(), (Vec<Step>, String, String)> {
+        let Some(body) = self.program.epochs.get(epoch) else {
+            return Ok(());
+        };
+        let enabled: Vec<(u32, Access)> = (0..pos.len())
+            .filter_map(|p| body[p].get(pos[p]).map(|&a| (p as u32, a)))
+            .collect();
+        for &(p, a) in &enabled {
+            for &(q, b) in &enabled {
+                if p == q || !self.declares_commuting(stepper.engine(), epoch, (p, a), (q, b)) {
+                    continue;
+                }
+                self.claims += 1;
+                let mut steps = path.to_vec();
+                steps.push(Step::Op { proc: p, access: a });
+                steps.push(Step::Op { proc: q, access: b });
+                self.check_claim(&steps)
+                    .map_err(|(invariant, message)| (steps, invariant, message))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// For `steps` = a prefix, then `a`, then `b` of another processor:
+    /// if the engine after the prefix declares `a` commuting, `a` then `b`
+    /// and `b` then `a` must agree on both outcomes and on the final
+    /// fingerprint, and `a` must still commute after `b`. A replay that
+    /// breaks another invariant is left to the exploration proper.
+    fn check_claim(&self, steps: &[Step]) -> Result<(), (String, String)> {
+        let [prefix @ .., step_a @ Step::Op { proc: p, access: a }, step_b @ Step::Op { proc: q, access: b }] =
+            steps
+        else {
+            return Ok(());
+        };
+        let (step_a, step_b, pa, pb) = (*step_a, *step_b, (*p, *a), (*q, *b));
+        let epoch = prefix.iter().filter(|&&s| s == Step::Boundary).count();
+        let Ok((before, _)) = self.replay(prefix, &[]) else {
+            return Ok(());
+        };
+        if p == q || !self.declares_commuting(before.engine(), epoch, pa, pb) {
+            return Ok(());
+        }
+        let (Ok((ab, ab_out)), Ok((ba, ba_out))) = (
+            self.replay(prefix, &[step_a, step_b]),
+            self.replay(prefix, &[step_b, step_a]),
+        ) else {
+            return Ok(());
+        };
+        let broken = |what: String| {
+            Err((
+                RUN_AHEAD_COMMUTES.to_string(),
+                format!("{step_a} is declared commuting, but {what}"),
+            ))
+        };
+        if ab_out[0] != ba_out[1] || ab_out[1] != ba_out[0] {
+            return broken(format!(
+                "its outcome is {:?} before and {:?} after {step_b}, whose outcome is {:?} and {:?}",
+                ab_out[0], ba_out[1], ab_out[1], ba_out[0]
+            ));
+        }
+        if ab.fingerprint() != ba.fingerprint() {
+            return broken(format!(
+                "issued before and after {step_b} it leaves different states"
+            ));
+        }
+        if let Ok((after_b, _)) = self.replay(prefix, &[step_b]) {
+            if !self.declares_commuting(after_b.engine(), epoch, pa, pb) {
+                return broken(format!("not after {step_b}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `engine` declares `a` commuting in `epoch`, whose table
+    /// records the program's accesses of that epoch plus `a` and `b`.
+    fn declares_commuting(
+        &self,
+        engine: &dyn CoherenceEngine,
+        epoch: usize,
+        a: (u32, Access),
+        b: (u32, Access),
+    ) -> bool {
+        let mut refs = EpochRefs::new(
+            self.program.procs,
+            self.cfg.shared_limit,
+            self.cfg.cache.geometry,
+        );
+        refs.begin_epoch();
+        let body = self
+            .program
+            .epochs
+            .get(epoch)
+            .map_or(&[][..], Vec::as_slice);
+        let accesses = body
+            .iter()
+            .enumerate()
+            .flat_map(|(p, seq)| seq.iter().map(move |&x| (p as u32, x)));
+        for (p, x) in accesses.chain([a, b]) {
+            refs.record(ProcId(p), self.program.addr(x.word));
+        }
+        let (p, x) = a;
+        let write = matches!(x.op, OpKind::Write | OpKind::WriteCritical);
+        engine.commutes(ProcId(p), self.program.addr(x.word), write, &refs)
+    }
+
     /// Replays `steps` from a fresh engine, applying the sabotage hook
     /// and running every check after each step. Returns the live
     /// stepper, or the first `(invariant, message)` violation — the
     /// engines' freshness assertions surface as caught panics.
     fn run(&self, steps: &[Step]) -> Result<EngineStepper, (String, String)> {
-        let mut stepper = EngineStepper::new(self.scheme.id(), self.cfg.clone());
-        for &step in steps {
-            self.apply_checked(&mut stepper, step)?;
-        }
-        Ok(stepper)
+        self.replay(steps, &[]).map(|(stepper, _)| stepper)
     }
 
+    /// [`Explorer::run`] over `prefix` then `tail`, also returning the
+    /// outcome of each step of `tail`.
+    fn replay(&self, prefix: &[Step], tail: &[Step]) -> Result<Replayed, (String, String)> {
+        let mut stepper = EngineStepper::new(self.scheme.id(), self.cfg.clone());
+        for &step in prefix {
+            self.apply_checked(&mut stepper, step)?;
+        }
+        let mut outcomes = Vec::with_capacity(tail.len());
+        for &step in tail {
+            outcomes.push(self.apply_checked(&mut stepper, step)?);
+        }
+        Ok((stepper, outcomes))
+    }
+
+    /// Applies one step with every check; returns an access's outcome (a
+    /// write's is its stall).
     fn apply_checked(
         &self,
         stepper: &mut EngineStepper,
         step: Step,
-    ) -> Result<(), (String, String)> {
+    ) -> Result<Option<AccessOutcome>, (String, String)> {
         let program = self.program;
-        catch_cell_panic(|| match step {
-            Step::Boundary => stepper.boundary(),
+        let write = |stall| AccessOutcome { stall, miss: None };
+        let outcome = catch_cell_panic(|| match step {
+            Step::Boundary => {
+                stepper.boundary();
+                None
+            }
             Step::Op { proc, access } => {
                 let p = ProcId(proc);
                 let addr = program.addr(access.word);
-                match access.op {
-                    OpKind::Read => {
-                        stepper.read(p, addr);
-                    }
-                    OpKind::Write => stepper.write(p, addr),
-                    OpKind::ReadCritical => {
-                        stepper.read_critical(p, addr);
-                    }
-                    OpKind::WriteCritical => stepper.write_critical(p, addr),
-                }
+                Some(match access.op {
+                    OpKind::Read => stepper.read(p, addr),
+                    OpKind::Write => write(stepper.write(p, addr)),
+                    OpKind::ReadCritical => stepper.read_critical(p, addr),
+                    OpKind::WriteCritical => write(stepper.write_critical(p, addr)),
+                })
             }
         })
         .map_err(|panic| ("freshness".to_string(), panic))?;
@@ -979,7 +1206,7 @@ impl<'a> Explorer<'a> {
         for inv in &self.invariants {
             (inv.check)(stepper.engine()).map_err(|msg| (inv.name.to_string(), msg))?;
         }
-        Ok(())
+        Ok(outcome)
     }
 }
 
@@ -1048,6 +1275,20 @@ mod tests {
                 .iter()
                 .all(|seq| seq.iter().all(|a| a.op == OpKind::Read)));
         }
+    }
+
+    #[test]
+    fn conflict_layout_maps_every_word_to_one_set() {
+        assert_eq!(model_config(2).cache.num_sets(), MODEL_SETS as usize);
+        let progs = scenario_programs(2, 2);
+        let conflict = progs
+            .iter()
+            .find(|p| p.layout == Layout::Conflict)
+            .expect("a conflict scenario");
+        let geom = model_config(2).cache.geometry;
+        let set = |w| geom.line_of(conflict.addr(w)).0 % u64::from(MODEL_SETS);
+        assert_ne!(conflict.addr(0), conflict.addr(1));
+        assert_eq!(set(0), set(1));
     }
 
     #[test]

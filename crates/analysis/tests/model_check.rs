@@ -8,7 +8,7 @@ use tpi::proto::{
     registry, BaseEngine, CoherenceEngine, DirectoryEngine, HybridEngine, SchemeId, TardisEngine,
     TpiEngine,
 };
-use tpi_analysis::model::{check_schemes, ModelOptions, ModelViolation, Step};
+use tpi_analysis::model::{check_schemes, ModelOptions, ModelViolation, Step, RUN_AHEAD_COMMUTES};
 use tpi_mem::WordAddr;
 
 fn tiny() -> ModelOptions {
@@ -138,6 +138,63 @@ fn seeded_base_cached_shared_word_is_caught() {
     });
     assert_eq!(v.invariant, "base-no-shared-lines");
     assert_minimal(&v);
+}
+
+#[test]
+fn seeded_hw_run_ahead_lie_breaks_commutation() {
+    // A full-map directory that declares every access commuting: some
+    // upgrade and a remote read of its line give different states in the
+    // two orders the lie claims are alike.
+    let v = seeded(SchemeId::FULL_MAP, |e| {
+        e.as_any_mut()
+            .downcast_mut::<DirectoryEngine>()
+            .expect("directory engine")
+            .debug_commute_always();
+    });
+    assert_eq!(v.invariant, RUN_AHEAD_COMMUTES);
+    assert_minimal(&v);
+    // The trace ends in the two accesses whose order the lie ignored.
+    let [.., Step::Op { proc: p, .. }, Step::Op { proc: q, .. }] = v.trace[..] else {
+        panic!(
+            "a run-ahead counterexample ends in two accesses: {:?}",
+            v.trace
+        );
+    };
+    assert_ne!(p, q);
+    assert_eq!(v.diagnostic().code, tpi_analysis::Code::Tpi901);
+}
+
+#[test]
+fn healthy_rules_are_checked_not_vacuous() {
+    // The order-sensitive engines make run-ahead claims in the tiny
+    // sweep, and every one of them holds.
+    let ids = [
+        SchemeId::FULL_MAP,
+        SchemeId::LIMITLESS,
+        SchemeId::TARDIS,
+        SchemeId::HYBRID,
+    ];
+    let report = check_schemes(&ids, &tiny());
+    assert!(report.is_clean(), "{:?}", report.violations());
+    for s in &report.schemes {
+        assert!(s.claims > 0, "{}: no run-ahead claim was checked", s.scheme);
+    }
+    // In the second epoch of the run-ahead scenarios a processor's copy
+    // from the first epoch, or a line sharing its set, is at stake: Tardis
+    // claims those accesses, the directory engines refuse them.
+    let claims = |id| {
+        report
+            .schemes
+            .iter()
+            .find(|s| s.scheme == id)
+            .unwrap()
+            .claims
+    };
+    assert!(claims(SchemeId::TARDIS) > claims(SchemeId::FULL_MAP));
+    assert!(claims(SchemeId::TARDIS) > claims(SchemeId::HYBRID));
+    // Engines without a rule claim nothing.
+    let flat = check_schemes(&[SchemeId::TPI], &tiny());
+    assert_eq!(flat.schemes[0].claims, 0);
 }
 
 /// The counterexample renderings are a stable contract: CI logs and

@@ -434,6 +434,15 @@ impl Cache {
         Some(&self.lines[self.ways[base + pos] as usize])
     }
 
+    /// The lines resident in `addr`'s set, most recently used first
+    /// (`addr` itself among them if it is resident).
+    pub fn set_residents(&self, addr: LineAddr) -> impl Iterator<Item = LineAddr> + '_ {
+        self.set(self.set_base(addr))
+            .iter()
+            .take_while(|&&i| resident(i))
+            .map(|&i| self.lines[i as usize].addr)
+    }
+
     /// Mutable access to the resident line at `addr`, without touching LRU
     /// (for protocol actions that are not local accesses).
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut Line> {
@@ -673,6 +682,20 @@ mod tests {
         assert!(c.peek(LineAddr(3)).is_none());
         assert!(c.peek(LineAddr(11)).is_some());
         assert_eq!(c.lines.len(), 1, "the new line reused the victim's slot");
+    }
+
+    #[test]
+    fn set_residents_lists_the_set_mru_first() {
+        let mut c = Cache::new(small_cfg(2));
+        let sets = c.config().num_sets() as u64;
+        let (a, b) = (LineAddr(3), LineAddr(3 + sets));
+        assert_eq!(c.set_residents(a).count(), 0);
+        let _ = c.install(a);
+        let _ = c.install(b);
+        assert_eq!(c.set_residents(a).collect::<Vec<_>>(), [b, a]);
+        let _ = c.remove(b);
+        assert_eq!(c.set_residents(b).collect::<Vec<_>>(), [a]);
+        assert_eq!(c.set_residents(LineAddr(4)).count(), 0);
     }
 
     #[test]

@@ -429,6 +429,8 @@ impl Runner {
         self.prof
             .add("simulate/boundary", sim.host.boundary_nanos, 1);
         self.prof.incr("sim_events", sim.host.events);
+        self.prof.incr("sim_switches", sim.host.switches);
+        self.prof.incr("sim_run_ahead", sim.host.run_ahead);
         self.prof.incr("sim_epochs", sim.epochs);
         for (name, n) in &sim.host.ops {
             self.prof.incr(name, *n);
@@ -1491,6 +1493,36 @@ mod tests {
             prof.stage("prepare/interp/doall").unwrap().calls,
             "cache hit must not re-harvest interpreter time"
         );
+    }
+
+    #[test]
+    fn replay_counters_repeat_and_flat_schemes_never_run_ahead() {
+        let counters = |scheme: SchemeId| {
+            let runner = Runner::serial();
+            let cfg = ExperimentConfig {
+                scheme,
+                ..ExperimentConfig::paper()
+            };
+            runner.run_kernel(Kernel::Ocean, Scale::Test, &cfg).unwrap();
+            let prof = runner.profile();
+            ["sim_events", "sim_switches", "sim_run_ahead"].map(|c| prof.counter(c))
+        };
+        for scheme in registry::global().all().iter().map(|s| s.id()) {
+            let [events, switches, ahead] = counters(scheme);
+            assert_eq!(
+                [events, switches, ahead],
+                counters(scheme),
+                "{scheme}: replay counters must repeat exactly"
+            );
+            assert!(ahead + switches <= events, "{scheme}");
+            let engine =
+                tpi_proto::build_engine(scheme, ExperimentConfig::paper().engine_config(64));
+            if engine.shard_safe() {
+                assert_eq!([switches, ahead], [0, 0], "{scheme} replays flat");
+            } else {
+                assert!(ahead > 0, "{scheme}: OCEAN's unshared lines run ahead");
+            }
+        }
     }
 
     #[test]

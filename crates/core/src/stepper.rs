@@ -119,24 +119,27 @@ impl EngineStepper {
         out
     }
 
-    /// Issues a write by `proc`, bumping the ground-truth version.
-    pub fn write(&mut self, proc: ProcId, addr: WordAddr) {
+    /// Issues a write by `proc`, bumping the ground-truth version; returns
+    /// the processor stall.
+    pub fn write(&mut self, proc: ProcId, addr: WordAddr) -> Cycle {
         let version = self.version(addr) + 1;
         self.versions.insert(addr.0, version);
         self.last_write_epoch.insert(addr.0, self.epoch);
         let now = self.clocks[proc.0 as usize];
         let stall = self.engine.write(proc, addr, version, now);
         self.clocks[proc.0 as usize] += stall;
+        stall
     }
 
-    /// Issues a critical-section write.
-    pub fn write_critical(&mut self, proc: ProcId, addr: WordAddr) {
+    /// Issues a critical-section write; returns the processor stall.
+    pub fn write_critical(&mut self, proc: ProcId, addr: WordAddr) -> Cycle {
         let version = self.version(addr) + 1;
         self.versions.insert(addr.0, version);
         self.last_write_epoch.insert(addr.0, self.epoch);
         let now = self.clocks[proc.0 as usize];
         let stall = self.engine.write_critical(proc, addr, version, now);
         self.clocks[proc.0 as usize] += stall;
+        stall
     }
 
     /// Crosses an epoch boundary: drains write buffers, advances epoch

@@ -32,7 +32,8 @@
 //!    must produce identical results: every [`SimResult`] field but host
 //!    time. This is what holds each engine's
 //!    [`CoherenceEngine::shard_safe`] claim to account, since that flag
-//!    picks the default replay path.
+//!    picks the default replay path, and its [`CoherenceEngine::commutes`]
+//!    rule, which lets the heap replay run a processor ahead.
 //!
 //! Violations become stable `TPI902 fuzz-violation` diagnostics.
 
@@ -149,11 +150,15 @@ pub enum Sabotage {
     /// The full-map directory claims to be shard-safe, so it replays flat
     /// although its sharer state is order-sensitive.
     FullmapClaimsShardSafe,
+    /// The full-map directory declares every access commuting, so the heap
+    /// replay lets each processor run ahead past the directory state
+    /// others depend on.
+    FullmapCommutesAlways,
 }
 
 impl Sabotage {
     /// Every hook, in a stable order.
-    pub const ALL: [Sabotage; 7] = [
+    pub const ALL: [Sabotage; 8] = [
         Sabotage::TpiSkipResets,
         Sabotage::FullmapDropSharer,
         Sabotage::LimitlessDropSharer,
@@ -161,6 +166,7 @@ impl Sabotage {
         Sabotage::HybridDropSharer,
         Sabotage::TardisRewindWts,
         Sabotage::FullmapClaimsShardSafe,
+        Sabotage::FullmapCommutesAlways,
     ];
 
     /// Stable name (accepted by `tpi-fuzz --sabotage`).
@@ -174,6 +180,7 @@ impl Sabotage {
             Sabotage::HybridDropSharer => "hybrid-drop-sharer",
             Sabotage::TardisRewindWts => "tardis-rewind-wts",
             Sabotage::FullmapClaimsShardSafe => "hw-claims-shard-safe",
+            Sabotage::FullmapCommutesAlways => "hw-commutes-always",
         }
     }
 
@@ -182,7 +189,9 @@ impl Sabotage {
     pub fn target(self) -> SchemeId {
         match self {
             Sabotage::TpiSkipResets => SchemeId::TPI,
-            Sabotage::FullmapDropSharer | Sabotage::FullmapClaimsShardSafe => SchemeId::FULL_MAP,
+            Sabotage::FullmapDropSharer
+            | Sabotage::FullmapClaimsShardSafe
+            | Sabotage::FullmapCommutesAlways => SchemeId::FULL_MAP,
             Sabotage::LimitlessDropSharer => SchemeId::LIMITLESS,
             Sabotage::BaseCacheShared => SchemeId::BASE,
             Sabotage::HybridDropSharer => SchemeId::HYBRID,
@@ -237,6 +246,11 @@ impl Sabotage {
                 }
             }
             Sabotage::FullmapClaimsShardSafe => {}
+            Sabotage::FullmapCommutesAlways => {
+                if let Some(e) = any.downcast_mut::<DirectoryEngine>() {
+                    e.debug_commute_always();
+                }
+            }
         }
     }
 }
@@ -317,6 +331,15 @@ impl CoherenceEngine for SabotagedEngine {
     }
     fn shard_safe(&self) -> bool {
         self.hook == Sabotage::FullmapClaimsShardSafe || self.inner.shard_safe()
+    }
+    fn commutes(
+        &self,
+        proc: tpi::mem::ProcId,
+        addr: WordAddr,
+        write: bool,
+        refs: &tpi::proto::EpochRefs,
+    ) -> bool {
+        self.inner.commutes(proc, addr, write, refs)
     }
     fn enable_shard_tracking(&mut self) {
         self.inner.enable_shard_tracking();

@@ -152,6 +152,56 @@ fn shard_safety_lie_is_caught_by_the_replay_class_and_minimized() {
 }
 
 #[test]
+fn run_ahead_lie_is_caught_by_the_replay_class_and_minimized() {
+    // A full-map directory that declares every access commuting runs
+    // each processor ahead past sharer and owner state the others depend
+    // on: the heap replay departs from the min-clock reference, and the
+    // replay class must notice (through the sabotage wrapper, which only
+    // forwards the rule) and shrink the kernel.
+    let opts = FuzzOptions {
+        seed: 7,
+        count: 2,
+        schemes: vec![SchemeId::FULL_MAP],
+        minimize: true,
+        sabotage: Some(Sabotage::FullmapCommutesAlways),
+        ..FuzzOptions::default()
+    };
+    let report = run_fuzz(&opts);
+    assert!(!report.is_clean(), "the run-ahead lie went unnoticed");
+    for v in &report.violations {
+        assert_eq!(
+            v.class,
+            ViolationClass::Replay,
+            "{}",
+            v.diagnostic().human()
+        );
+        assert_eq!(v.scheme, Some(SchemeId::FULL_MAP));
+    }
+    let v = &report.violations[0];
+    let min_src = v.minimized.as_ref().expect("minimize was requested");
+    assert!(min_src.len() < v.source.len(), "the kernel was not shrunk");
+    let min_prog = Arc::new(tpi_ir::parse_program(min_src).expect("reproducer must re-parse"));
+    let cs = cfg_seed(opts.seed, v.index as u64);
+    assert!(violates(
+        &min_prog,
+        cs,
+        &opts.schemes,
+        opts.sabotage,
+        v.class,
+        v.scheme
+    ));
+    // The healthy rule replays the minimized kernel exactly.
+    assert!(!violates(
+        &min_prog,
+        cs,
+        &opts.schemes,
+        None,
+        v.class,
+        v.scheme
+    ));
+}
+
+#[test]
 fn fuzz_config_is_deterministic_and_freshness_verified() {
     let a = fuzz_config(3);
     let b = fuzz_config(3);

@@ -26,7 +26,7 @@
 
 use crate::sharers::{LineRecord, LineTable, SharerSet};
 use crate::stats::{EngineStats, MissClass, PendingMisses};
-use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
+use crate::{AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs};
 use tpi_cache::{Cache, Evicted, LineState};
 use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
@@ -70,6 +70,8 @@ pub struct DirectoryEngine {
     /// `Some((pointers, trap_cycles))` for LimitLess.
     limitless: Option<(u32, Cycle)>,
     name: &'static str,
+    /// Test-only sabotage: declare every access commuting.
+    commutes_always: bool,
 }
 
 impl DirectoryEngine {
@@ -105,6 +107,7 @@ impl DirectoryEngine {
             pending_class: vec![PendingMisses::default(); cfg.procs as usize],
             limitless,
             name,
+            commutes_always: false,
             cfg,
         }
     }
@@ -252,6 +255,15 @@ impl DirectoryEngine {
             }
         }
         Ok(())
+    }
+
+    /// Test-only sabotage for the `tpi-model` and `tpi-fuzz`
+    /// seeded-violation tests: declare every access commuting
+    /// ([`CoherenceEngine::commutes`]), so the heap replay lets each
+    /// processor run ahead past directory state others depend on.
+    #[doc(hidden)]
+    pub fn debug_commute_always(&mut self) {
+        self.commutes_always = true;
     }
 
     /// Test-only sabotage for the `tpi-model` seeded-violation tests:
@@ -423,6 +435,37 @@ impl CoherenceEngine for DirectoryEngine {
             }
         }
         1
+    }
+
+    /// An access commutes when no other processor references its line
+    /// this epoch, and none references another line resident in its set
+    /// (an invalidation or a three-hop downgrade there would reorder the
+    /// set's LRU list, and a miss displaces one of them). A miss or a
+    /// write also needs that no other processor holds the line: a dirty
+    /// owner would be downgraded, sharers invalidated, and a sharer's own
+    /// eviction would race the directory update (and LimitLess's pointer
+    /// count).
+    fn commutes(&self, proc: ProcId, addr: WordAddr, write: bool, refs: &EpochRefs) -> bool {
+        if self.commutes_always {
+            return true;
+        }
+        let geom = self.cfg.cache.geometry;
+        let la = geom.line_of(addr);
+        let cache = &self.caches[proc.0 as usize];
+        if !refs.only_by(proc, geom, la) {
+            return false;
+        }
+        if write || cache.peek(la).is_none() {
+            let others_hold = self.directory.get(la.0).is_some_and(|e| {
+                e.owner.is_some_and(|o| o != proc.0) || e.sharers.iter().any(|q| q != proc.0)
+            });
+            if others_hold {
+                return false;
+            }
+        }
+        cache
+            .set_residents(la)
+            .all(|other| other == la || refs.only_by(proc, geom, other))
     }
 
     fn epoch_boundary(&mut self, per_proc_now: &[Cycle]) -> Vec<Cycle> {

@@ -20,7 +20,7 @@
 use crate::sharers::{LineTable, SharerSet};
 use crate::stats::{EngineStats, MissClass, PendingMisses};
 use crate::write_path::WritePath;
-use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
+use crate::{AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs};
 use tpi_cache::Cache;
 use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
@@ -351,6 +351,37 @@ impl CoherenceEngine for HybridEngine {
         }
         self.wpath.write(p, addr, now, &mut self.net);
         1
+    }
+
+    /// An access commutes when no other processor references its line
+    /// this epoch, and none references another line resident in its set
+    /// (a pushed update or invalidation there would reorder the set's LRU
+    /// list, and a miss displaces one of them). A miss or a write also
+    /// needs that no other processor still caches the line, or the write
+    /// would push to (or invalidate) a copy its holder may evict. A stale
+    /// presence bit, whose processor no longer caches the line, is no
+    /// holder: only the writer itself retires it.
+    fn commutes(&self, proc: ProcId, addr: WordAddr, write: bool, refs: &EpochRefs) -> bool {
+        let geom = self.cfg.cache.geometry;
+        let la = geom.line_of(addr);
+        let cache = &self.caches[proc.0 as usize];
+        if !refs.only_by(proc, geom, la) {
+            return false;
+        }
+        let w = geom.word_in_line(addr);
+        let hit = !write && cache.peek(la).is_some_and(|l| l.word_valid(w));
+        if !hit {
+            let others_hold = self.sharers.get(la.0).is_some_and(|mask| {
+                mask.iter()
+                    .any(|q| q != proc.0 && self.caches[q as usize].peek(la).is_some())
+            });
+            if others_hold {
+                return false;
+            }
+        }
+        cache
+            .set_residents(la)
+            .all(|other| other == la || refs.only_by(proc, geom, other))
     }
 
     fn epoch_boundary(&mut self, per_proc_now: &[Cycle]) -> Vec<Cycle> {

@@ -36,6 +36,7 @@ pub mod fullmap;
 pub mod hybrid;
 pub mod ideal;
 pub mod invariant;
+pub mod refs;
 pub mod registry;
 pub mod sc;
 pub mod sharers;
@@ -51,6 +52,7 @@ pub use fullmap::DirectoryEngine;
 pub use hybrid::HybridEngine;
 pub use ideal::IdealEngine;
 pub use invariant::ModelInvariant;
+pub use refs::EpochRefs;
 pub use registry::{RegistryError, Scheme, SchemeCaps, SchemeId, SchemeRegistry};
 pub use sc::ScEngine;
 pub use stats::{EngineStats, MissClass, ProcStats};
@@ -310,9 +312,11 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// The flag decides the replay path of every run, not only of sharded
     /// ones. When it is true, the simulator replays each sync-free epoch
     /// one processor stream at a time, on one engine in `run_trace` or on
-    /// engine replicas merged at epoch boundaries in `run_trace_sharded`.
-    /// When it is false, sync-free epochs replay in exact min-clock order
-    /// through a heap of processor clocks. A wrong `true` therefore
+    /// engine replicas merged at epoch boundaries in `run_trace_sharded`:
+    /// every access commutes. When it is false, sync-free epochs replay
+    /// through a heap of processor clocks in min-clock order, except where
+    /// [`CoherenceEngine::commutes`] lets a processor run ahead. A wrong
+    /// `true` therefore
     /// changes serial results; the `replay` class of `tpi-fuzz` and the
     /// reference pins compare both paths against the min-clock reference
     /// replay.
@@ -325,6 +329,34 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// fetches, false-sharing invalidations) and Tardis stamps leases
     /// from a live global read-timestamp table.
     fn shard_safe(&self) -> bool {
+        false
+    }
+
+    /// Whether `proc`'s next access, a read or (with `write`) a write of
+    /// `addr`, commutes with every access any other processor makes in the
+    /// current epoch, whose references `refs` records.
+    ///
+    /// When it does, the simulator's heap replay lets `proc` issue it
+    /// ahead of processors with smaller clocks instead of waiting its
+    /// turn. The reordered calls must touch disjoint engine state, apart
+    /// from commutative accumulators (traffic and operation counters), so
+    /// that every outcome, every counter and the final state equal those
+    /// of the min-clock order. An access reads and writes its own
+    /// processor's state, the records of its line and of the lines it
+    /// displaces, and the accumulators; another processor's access reaches
+    /// the first two only through lines that processor references, holds
+    /// or displaces. Message latency depends only on the load fixed at the
+    /// last boundary. So a rule that excludes those lines is exact.
+    ///
+    /// The answer must hold for the rest of the epoch whatever the other
+    /// processors do (they can only remove this processor's holdings, never
+    /// add to them), and must cover critical reads and writes as their
+    /// plain forms. A [`CoherenceEngine::shard_safe`] engine is the case
+    /// where every access commutes. The default, `false`, keeps the plain
+    /// min-clock order; the reference pins in `crates/sim/tests`, the
+    /// `replay` class of `tpi-fuzz` and `tpi-model`'s commutation check
+    /// hold every engine to its rule. Wrapping engines must forward it.
+    fn commutes(&self, _proc: ProcId, _addr: WordAddr, _write: bool, _refs: &EpochRefs) -> bool {
         false
     }
 

@@ -26,7 +26,7 @@
 
 use crate::stats::{EngineStats, MissClass};
 use crate::write_path::WritePath;
-use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
+use crate::{AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs};
 use tpi_cache::{Cache, Line};
 use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
@@ -336,6 +336,15 @@ impl CoherenceEngine for TardisEngine {
         }
         self.wpath.write(p, addr, now, &mut self.net);
         1
+    }
+
+    /// An access commutes when no other processor references its line
+    /// this epoch. Tardis sends no invalidations and evicts silently, so
+    /// an access reaches only its own processor's cache, clock and write
+    /// path, and the timestamps and versions of its own line.
+    fn commutes(&self, proc: ProcId, addr: WordAddr, _write: bool, refs: &EpochRefs) -> bool {
+        let geom = self.cfg.cache.geometry;
+        refs.only_by(proc, geom, geom.line_of(addr))
     }
 
     fn epoch_boundary(&mut self, per_proc_now: &[Cycle]) -> Vec<Cycle> {

@@ -62,6 +62,15 @@ pub struct SimHostProfile {
     pub boundary_nanos: u64,
     /// Trace events replayed.
     pub events: u64,
+    /// Processor switches of the heap replay: times the running processor
+    /// yielded to one with a smaller clock. Deterministic; 0 when every
+    /// epoch replays flat or by scan.
+    pub switches: u64,
+    /// Events the heap replay issued ahead of a processor with a smaller
+    /// clock, because they commute with the rest of their epoch
+    /// ([`CoherenceEngine::commutes`]). Deterministic; 0 when every epoch
+    /// replays flat or by scan.
+    pub run_ahead: u64,
     /// Engine-reported operation counters (see
     /// [`CoherenceEngine::op_counts`]).
     pub ops: Vec<(&'static str, u64)>,

@@ -19,13 +19,49 @@
 //! * **Flat** — a sync-free epoch on a shard-safe engine replays each
 //!   processor's stream straight through, with no ordering at all.
 //! * **Heap** — a sync-free epoch on an order-sensitive engine keeps a
-//!   binary min-heap of `(clock, processor)`. The popped processor runs
-//!   ahead while it stays below the heap's top, then trades places with
-//!   it: the engine sees the same calls in the same order as under the
-//!   scan, at `O(log P)` per processor switch instead of `O(P)` per event.
+//!   binary min-heap of `(clock, processor)`. The popped processor keeps
+//!   issuing while it stays below the heap's top, and past the top while
+//!   its next event *commutes* with the rest of the epoch (below); then it
+//!   trades places with the top, at `O(log P)` per processor switch
+//!   instead of `O(P)` per event.
 //! * **Scan** — a sync-ful epoch scans every active processor's clock per
 //!   event, skipping processors blocked on a held lock or an unposted
 //!   event. [`crate::run_trace_reference`] replays every epoch this way.
+//!
+//! # Run-ahead: why the heap's reordering is exact
+//!
+//! A compute event makes no engine call, and an access may go ahead when
+//! [`CoherenceEngine::commutes`] says it commutes with every access any
+//! other processor makes in the epoch. The engine answers from an
+//! [`EpochRefs`] table, filled in one pass over the epoch's events on the
+//! epoch's first would-be switch, of which processor references each
+//! line. The rules (in `tpi-proto`):
+//!
+//! * TARDIS: no other processor references the line;
+//! * HW, LL and HYB: the same, and no other processor references another
+//!   line resident in the access's cache set; for a miss or a write (an
+//!   upgrade, a HYB update push), no other processor holds the line.
+//!
+//! An access reads and writes its own processor's state, the directory,
+//! timestamp and version records of its line and of the lines it
+//! displaces, and commutative accumulators (traffic and op counters).
+//! Message latency depends only on the load fixed at the last boundary.
+//! Another processor reaches the first two kinds only through lines it
+//! references, holds or displaces, and the rules exclude those for the
+//! rest of the epoch (the others can only drop the runner's holdings,
+//! never add to them), so the reordered calls touch disjoint state. Two
+//! accesses that are both refused issue in min-clock order, so every
+//! inversion of the scan's order pairs a declared-commuting access with a
+//! later one of another processor; swapping such pairs back one at a time
+//! recovers the scan's order with every outcome unchanged. Each
+//! processor's calls stay in program order at the scan's clocks, and
+//! every [`SimResult`] is byte-identical. A shard-safe engine is the
+//! special case in which every access commutes, which the flat strategy
+//! exploits without any table.
+//!
+//! The reference pins in `crates/sim/tests/reference.rs`, the `replay`
+//! class of `tpi-fuzz` (with its `hw-commutes-always` sabotage) and
+//! `tpi-model`'s commutation check hold every rule to this.
 //!
 //! # Why flat is exact, not approximate
 //!
@@ -83,7 +119,7 @@ use std::time::Instant;
 
 use tpi_mem::{Cycle, ProcId};
 use tpi_net::TrafficClass;
-use tpi_proto::{build_engine, CoherenceEngine, EngineConfig, SchemeId};
+use tpi_proto::{build_engine, CoherenceEngine, EngineConfig, EpochRefs, SchemeId};
 use tpi_trace::{Event, Trace};
 
 use crate::run::{elapsed_nanos_since, miss_by_array_table, EpochProfile};
@@ -321,6 +357,12 @@ struct ShardState<'e> {
     miss_delta: u64,
     /// Trace events issued on this shard's engine.
     events: u64,
+    /// Heap replays' processor switches: times the running processor
+    /// yielded to the heap's top before its stream ended.
+    switches: u64,
+    /// Events the heap replay issued ahead of a processor with a smaller
+    /// clock because they commute with the rest of the epoch.
+    run_ahead: u64,
     /// Per-array read-miss tally, dense by `ArrayId`.
     array_misses: Vec<u64>,
     replay_nanos: u64,
@@ -338,6 +380,8 @@ impl<'e> ShardState<'e> {
             miss_prev: 0,
             miss_delta: 0,
             events: 0,
+            switches: 0,
+            run_ahead: 0,
             array_misses: vec![0; trace.layout.decls().len()],
             replay_nanos: 0,
             boundary_nanos: 0,
@@ -382,6 +426,26 @@ impl<'e> ShardState<'e> {
                 self.engine.write_critical(proc, *addr, *version, now)
             }
             // Plan::build sends every epoch holding one to the scan.
+            Event::AcquireLock(_)
+            | Event::ReleaseLock(_)
+            | Event::PostEvent { .. }
+            | Event::WaitEvent { .. } => unreachable!("sync event outside the scan"),
+        }
+    }
+
+    /// Whether processor `p` may issue `ev` ahead of processors with
+    /// smaller clocks: a compute makes no engine call, and an access
+    /// qualifies when the engine declares it commuting with the rest of
+    /// the epoch that `refs` records.
+    #[inline]
+    fn commutes(&self, p: usize, ev: &Event, refs: &EpochRefs) -> bool {
+        let proc = ProcId(p as u32);
+        match ev {
+            Event::Compute(_) => true,
+            Event::Read { addr, .. } => self.engine.commutes(proc, *addr, false, refs),
+            Event::Write { addr, .. } | Event::CriticalWrite { addr, .. } => {
+                self.engine.commutes(proc, *addr, true, refs)
+            }
             Event::AcquireLock(_)
             | Event::ReleaseLock(_)
             | Event::PostEvent { .. }
@@ -439,6 +503,10 @@ struct Sched {
     epoch_stamp: u64,
     /// The heap strategy's ready queue: `(clock, processor, next event)`.
     heap: BinaryHeap<Reverse<(Cycle, usize, usize)>>,
+    /// The heap strategy's record of which processor references each
+    /// line, made on the epoch's first would-be switch and reused across
+    /// epochs.
+    refs: Option<EpochRefs>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -460,6 +528,24 @@ impl Sched {
             posted_stamp: vec![0; plan.sync_pairs.len()],
             epoch_stamp: 0,
             heap: BinaryHeap::with_capacity(procs),
+            refs: None,
+        }
+    }
+}
+
+/// Records every access of `epoch` in `refs`, which starts the epoch
+/// empty.
+fn record_refs(refs: &mut EpochRefs, epoch: &tpi_trace::EpochEvents) {
+    refs.begin_epoch();
+    for (p, stream) in epoch.per_proc.iter().enumerate() {
+        let proc = ProcId(p as u32);
+        for ev in stream {
+            if let Event::Read { addr, .. }
+            | Event::Write { addr, .. }
+            | Event::CriticalWrite { addr, .. } = ev
+            {
+                refs.record(proc, *addr);
+            }
         }
     }
 }
@@ -511,9 +597,11 @@ fn replay_ordered(
 }
 
 /// Heap strategy for a sync-free epoch: the running processor keeps
-/// issuing while its `(clock, index)` stays below the heap's top, then
-/// swaps in for the top. Zero-cycle events and clock ties resolve exactly
-/// as under the scan, because the key order is the scan's order.
+/// issuing while its `(clock, index)` stays below the heap's top, and past
+/// it while its next event commutes with the rest of the epoch (see the
+/// module docs); otherwise it swaps in for the top. Zero-cycle events and
+/// clock ties resolve exactly as under the scan, because the key order is
+/// the scan's order.
 fn replay_heap(
     trace: &Trace,
     e: usize,
@@ -525,13 +613,16 @@ fn replay_heap(
 ) {
     let epoch = &trace.epochs[e];
     clocks.fill(t0);
-    let heap = &mut sched.heap;
+    let Sched { heap, refs, .. } = sched;
     heap.clear();
     for (p, stream) in epoch.per_proc.iter().enumerate() {
         if !stream.is_empty() {
             heap.push(Reverse((t0, p, 0)));
         }
     }
+    // Built on the first would-be switch: an epoch with one busy
+    // processor never needs it.
+    let mut recorded = false;
     let mut running = heap.pop();
     while let Some(Reverse((mut now, p, mut i))) = running {
         let stream = &epoch.per_proc[p];
@@ -546,7 +637,18 @@ fn replay_heap(
             if let Some(mut top) = heap.peek_mut() {
                 let Reverse((c, q, _)) = *top;
                 if (c, q) < (now, p) {
-                    break Some(std::mem::replace(&mut *top, Reverse((now, p, i))));
+                    let refs = refs.get_or_insert_with(|| {
+                        EpochRefs::new(trace.num_procs, plan.span, trace.layout.geometry())
+                    });
+                    if !recorded {
+                        record_refs(refs, epoch);
+                        recorded = true;
+                    }
+                    if !st.commutes(p, &stream[i], refs) {
+                        st.switches += 1;
+                        break Some(std::mem::replace(&mut *top, Reverse((now, p, i))));
+                    }
+                    st.run_ahead += 1;
                 }
             }
         };
@@ -908,6 +1010,8 @@ fn merge_result(trace: &Trace, plan: &Plan, states: &[ShardState], coord: Coord)
             replay_nanos: states.iter().map(|st| st.replay_nanos).sum(),
             boundary_nanos: states.iter().map(|st| st.boundary_nanos).sum(),
             events: states.iter().map(|st| st.events).sum(),
+            switches: states.iter().map(|st| st.switches).sum(),
+            run_ahead: states.iter().map(|st| st.run_ahead).sum(),
             ops,
         },
     }

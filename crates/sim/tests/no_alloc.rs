@@ -1,7 +1,8 @@
 //! Pins "no allocation per access": once an engine has replayed a trace
-//! once, replaying it again must not allocate in `read`, `write` or
-//! `write_critical`. Engine state lives in dense address tables and an
-//! arena cache that a warm engine only reuses, so a heap allocation on the
+//! once, replaying it again must not allocate in `read`, `write`,
+//! `write_critical` or the run-ahead rule `commutes` the heap replay asks
+//! before it. Engine state lives in dense address tables and an arena
+//! cache that a warm engine only reuses, so a heap allocation on the
 //! per-access path is a regression. Epoch boundaries are not counted.
 //!
 //! This binary has its own counting global allocator, so it holds exactly
@@ -12,7 +13,7 @@ mod common;
 use common::{all_schemes, engine_config, trace_on};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tpi_proto::{build_engine, CoherenceEngine, EngineConfig, L1Config, SchemeId};
+use tpi_proto::{build_engine, CoherenceEngine, EngineConfig, EpochRefs, L1Config, SchemeId};
 use tpi_trace::{Event, Trace};
 use tpi_workloads::{Kernel, Scale};
 
@@ -64,7 +65,20 @@ fn replay(engine: &mut dyn CoherenceEngine, trace: &Trace) -> (u64, Option<Strin
     let mut clocks = vec![0u64; trace.num_procs as usize];
     let mut total = 0;
     let mut first = None;
+    let (span, granule) = (trace.layout.total_words(), trace.layout.geometry());
+    let mut refs = EpochRefs::new(trace.num_procs, span, granule);
     for (e, epoch) in trace.epochs.iter().enumerate() {
+        refs.begin_epoch();
+        for (p, events) in epoch.per_proc.iter().enumerate() {
+            for ev in events {
+                if let Event::Read { addr, .. }
+                | Event::Write { addr, .. }
+                | Event::CriticalWrite { addr, .. } = *ev
+                {
+                    refs.record(tpi_mem::ProcId(p as u32), addr);
+                }
+            }
+        }
         for (p, events) in epoch.per_proc.iter().enumerate() {
             let proc = tpi_mem::ProcId(p as u32);
             for (i, ev) in events.iter().enumerate() {
@@ -75,9 +89,16 @@ fn replay(engine: &mut dyn CoherenceEngine, trace: &Trace) -> (u64, Option<Strin
                         addr,
                         kind,
                         version,
-                    } => engine.read(proc, addr, kind, version, now).stall,
-                    Event::Write { addr, version } => engine.write(proc, addr, version, now),
+                    } => {
+                        let _ = engine.commutes(proc, addr, false, &refs);
+                        engine.read(proc, addr, kind, version, now).stall
+                    }
+                    Event::Write { addr, version } => {
+                        let _ = engine.commutes(proc, addr, true, &refs);
+                        engine.write(proc, addr, version, now)
+                    }
                     Event::CriticalWrite { addr, version } => {
+                        let _ = engine.commutes(proc, addr, true, &refs);
                         engine.write_critical(proc, addr, version, now)
                     }
                     Event::Compute(cycles) => u64::from(cycles),

@@ -61,6 +61,15 @@ pub struct TraceOptions {
     /// Whether to verify DOALL race freedom. Recommended: the check shares
     /// each access's one table lookup with the version counter, so it costs
     /// a few compares per shared access. Off, a racy program still traces.
+    ///
+    /// Two iterations' conflicting accesses to a word (one a write) are
+    /// ordered only when the later one waited on an event the earlier one
+    /// posted, or both are critical under one lock. Order is not
+    /// transitive, and a word keeps its last writer and first reader
+    /// only, so a write after reads by two or more iterations is always a
+    /// race: a doacross chain in which each iteration reads and then
+    /// writes a word after waiting for its predecessor is reported, though
+    /// the chain orders it. The check never accepts a racy program.
     pub check_races: bool,
     /// Line geometry used to align array bases.
     pub geometry: LineGeometry,
@@ -230,6 +239,10 @@ impl LockCtx {
     }
 }
 
+/// The ordinal [`WordState::record`] reports for a word's readers when two
+/// or more iterations read it: no iteration has it, so no post orders it.
+const UNKNOWN_READERS: u32 = u32::MAX;
+
 /// The interpreter's state for one word: its version and its race state in
 /// the DOALL epoch named by `stamp`.
 ///
@@ -257,12 +270,14 @@ struct WordState {
 
 impl WordState {
     /// Records an access by iteration `task` in the DOALL epoch stamped
-    /// `stamp`, made under lock `ctx`. If it conflicts with another
-    /// iteration's access and the word is not serialized by one lock,
-    /// returns the ordinal of the access it must be ordered after: the word's
-    /// writer for a read; for a write, its first reader, or else the writer
-    /// this write has just become.
-    fn record(&mut self, stamp: u32, task: u32, ctx: Option<u32>, is_write: bool) -> Option<u32> {
+    /// `stamp`, made under lock `ctx`. Returns the ordinals of the other
+    /// iterations' accesses it conflicts with and must be ordered after (0
+    /// for none), unless the word is serialized by one lock: for a read,
+    /// the word's writer; for a write, the previous writer and the reader.
+    /// A write after reads by two or more iterations reports
+    /// [`UNKNOWN_READERS`], which no post orders: only the first reader is
+    /// kept.
+    fn record(&mut self, stamp: u32, task: u32, ctx: Option<u32>, is_write: bool) -> [u32; 2] {
         if self.stamp != stamp {
             *self = WordState {
                 version: self.version,
@@ -271,29 +286,29 @@ impl WordState {
             };
         }
         self.ctx = self.ctx.merge(ctx);
-        let conflict = if is_write {
-            let w_conf = self.writer != 0 && self.writer != task;
-            let r_conf = self.multi_reader || (self.first_reader != 0 && self.first_reader != task);
-            self.writer = task;
-            w_conf || r_conf
+        let other = |ordinal: u32| if ordinal == task { 0 } else { ordinal };
+        let prior = if is_write {
+            let writer = std::mem::replace(&mut self.writer, task);
+            let reader = if self.multi_reader {
+                UNKNOWN_READERS
+            } else {
+                other(self.first_reader)
+            };
+            [other(writer), reader]
         } else {
             if self.first_reader == 0 {
                 self.first_reader = task;
             } else if self.first_reader != task {
                 self.multi_reader = true;
             }
-            self.writer != 0 && self.writer != task
+            [other(self.writer), 0]
         };
         // Cross-task conflicts are permitted when every access to the word
         // is critical under one single lock.
-        if !conflict || matches!(self.ctx, LockCtx::Uniform(_)) {
-            return None;
+        if matches!(self.ctx, LockCtx::Uniform(_)) {
+            return [0, 0];
         }
-        Some(if is_write && self.first_reader != 0 {
-            self.first_reader
-        } else {
-            self.writer
-        })
+        prior
     }
 }
 
@@ -632,9 +647,7 @@ impl<'a> TaskCtx<'a, '_> {
             let word = self.words.get_mut(record);
             let prior = word.record(self.race_stamp, self.task, self.critical, false);
             let version = word.version;
-            if let Some(prior) = prior {
-                self.conflict(addr, prior);
-            }
+            self.conflict(addr, prior);
             version
         } else {
             self.words.get(record).version
@@ -659,16 +672,14 @@ impl<'a> TaskCtx<'a, '_> {
         let prior = if shared && self.race_stamp != 0 {
             word.record(self.race_stamp, self.task, self.critical, true)
         } else {
-            None
+            [0, 0]
         };
         word.version = word
             .version
             .checked_add(1)
             .expect("fewer than 2^32 writes to one word");
         let version = u64::from(word.version);
-        if let Some(prior) = prior {
-            self.conflict(addr, prior);
-        }
+        self.conflict(addr, prior);
         if shared && self.critical.is_some() {
             self.emit(Event::CriticalWrite { addr, version });
         } else {
@@ -676,15 +687,19 @@ impl<'a> TaskCtx<'a, '_> {
         }
     }
 
-    /// Reports a conflict on `addr` with iteration `prior` as a race unless
-    /// this task has synchronized with it: waited on an event `prior`
-    /// posted — the doacross ordering of Section 5.
-    fn conflict(&mut self, addr: WordAddr, prior: u32) {
-        let ordered = self
-            .waited
-            .iter()
-            .any(|key| self.posts.get(key) == Some(&prior));
-        if !ordered && self.race_found.is_none() {
+    /// Reports a conflict on `addr` with each iteration in `prior` (0 for
+    /// none) as a race unless this task has synchronized with it: waited
+    /// on an event that iteration posted — the doacross ordering of
+    /// Section 5.
+    fn conflict(&mut self, addr: WordAddr, prior: [u32; 2]) {
+        let ordered = |p: u32| {
+            p == 0
+                || self
+                    .waited
+                    .iter()
+                    .any(|key| self.posts.get(key) == Some(&p))
+        };
+        if !prior.into_iter().all(ordered) && self.race_found.is_none() {
             self.race_found = Some(addr);
         }
     }
@@ -1091,6 +1106,83 @@ mod tests {
                 epoch: Epoch(0)
             }
         );
+    }
+
+    /// Eight iterations that each write X(0), reading it first when
+    /// `read_first`; with `ordered`, iteration i > 0 waits for i − 1's
+    /// post before its access.
+    fn update_chain(p: &mut ProgramBuilder, ordered: bool, read_first: bool) -> tpi_ir::ProcIdx {
+        let x = p.shared("X", [8]);
+        let ev = p.event();
+        p.proc("main", |f| {
+            f.doall(0, 7, |i, f| {
+                let reads = if read_first {
+                    vec![x.at(subs![0])]
+                } else {
+                    vec![]
+                };
+                f.if_else(
+                    Cond::EveryN {
+                        var: i,
+                        modulus: i64::MAX,
+                        phase: 0,
+                    },
+                    |f| f.store(x.at(subs![0]), reads.clone(), 1),
+                    |f| {
+                        if ordered {
+                            f.wait(ev, i - 1);
+                        }
+                        f.store(x.at(subs![0]), reads.clone(), 1);
+                    },
+                );
+                f.post(ev, i);
+            })
+        })
+    }
+
+    #[test]
+    fn a_write_is_ordered_after_the_previous_writer() {
+        let opts = TraceOptions {
+            num_procs: 4,
+            ..TraceOptions::default()
+        };
+        let t = trace_of(|p| update_chain(p, true, false), &opts)
+            .expect("post/wait orders each write after the last");
+        assert_eq!(
+            writes_of(&t, 0),
+            (1..=8).map(|v| (0, v)).collect::<Vec<_>>()
+        );
+        // Without the waits the second write races with the first.
+        let err = trace_of(|p| update_chain(p, false, false), &opts).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Race {
+                addr: WordAddr(0),
+                epoch: Epoch(0)
+            }
+        );
+    }
+
+    #[test]
+    fn a_read_then_write_chain_is_reported_without_transitive_order() {
+        // Each iteration reads X(0) and writes it after waiting for its
+        // predecessor. The third write follows reads by two iterations,
+        // and the detector keeps only the first reader, so it cannot see
+        // that the chain orders them all (`TraceOptions::check_races`).
+        let opts = TraceOptions {
+            num_procs: 4,
+            ..TraceOptions::default()
+        };
+        for ordered in [true, false] {
+            let err = trace_of(|p| update_chain(p, ordered, true), &opts).unwrap_err();
+            assert_eq!(
+                err,
+                TraceError::Race {
+                    addr: WordAddr(0),
+                    epoch: Epoch(0)
+                }
+            );
+        }
     }
 
     #[test]
