@@ -57,6 +57,13 @@
 //! trace the state's prefix followed by `a` and `b`. The check replays
 //! more schedules but visits no new state, so state counts are unchanged.
 //!
+//! An engine that claims [`CoherenceEngine::order_insensitive`] declares
+//! every access commuting in an epoch without critical accesses, and the
+//! checker holds it to that claim the same way. The simulator's heap
+//! replays only sync-free epochs, and critical accesses occur only in
+//! lock epochs, which take the min-clock scan; so those are the epochs
+//! whose interleavings the claim must not change.
+//!
 //! Counterexamples are shrunk to a 1-minimal interleaving by greedy
 //! delta debugging (drop any single step while the same invariant still
 //! fires, to fixpoint) and reported as [`Code::Tpi901`] diagnostics.
@@ -1118,7 +1125,9 @@ impl<'a> Explorer<'a> {
     }
 
     /// Whether `engine` declares `a` commuting in `epoch`, whose table
-    /// records the program's accesses of that epoch plus `a` and `b`.
+    /// records the program's accesses of that epoch plus `a` and `b`. An
+    /// order-insensitive engine claims every access of an epoch without
+    /// critical accesses: the heap replays only sync-free epochs.
     fn declares_commuting(
         &self,
         engine: &dyn CoherenceEngine,
@@ -1126,21 +1135,27 @@ impl<'a> Explorer<'a> {
         a: (u32, Access),
         b: (u32, Access),
     ) -> bool {
+        let body = self
+            .program
+            .epochs
+            .get(epoch)
+            .map_or(&[][..], Vec::as_slice);
+        if engine.order_insensitive() {
+            return body
+                .iter()
+                .flatten()
+                .all(|x| matches!(x.op, OpKind::Read | OpKind::Write));
+        }
+        let accesses = body
+            .iter()
+            .enumerate()
+            .flat_map(|(p, seq)| seq.iter().map(move |&x| (p as u32, x)));
         let mut refs = EpochRefs::new(
             self.program.procs,
             self.cfg.shared_limit,
             self.cfg.cache.geometry,
         );
         refs.begin_epoch();
-        let body = self
-            .program
-            .epochs
-            .get(epoch)
-            .map_or(&[][..], Vec::as_slice);
-        let accesses = body
-            .iter()
-            .enumerate()
-            .flat_map(|(p, seq)| seq.iter().map(move |&x| (p as u32, x)));
         for (p, x) in accesses.chain([a, b]) {
             refs.record(ProcId(p), self.program.addr(x.word));
         }

@@ -192,9 +192,34 @@ fn healthy_rules_are_checked_not_vacuous() {
     };
     assert!(claims(SchemeId::TARDIS) > claims(SchemeId::FULL_MAP));
     assert!(claims(SchemeId::TARDIS) > claims(SchemeId::HYBRID));
-    // Engines without a rule claim nothing.
-    let flat = check_schemes(&[SchemeId::TPI], &tiny());
-    assert_eq!(flat.schemes[0].claims, 0);
+    // An order-insensitive engine claims every access of a sync-free
+    // epoch, and every one of those claims holds too.
+    let insensitive = check_schemes(&[SchemeId::TPI], &tiny());
+    assert!(insensitive.is_clean(), "{:?}", insensitive.violations());
+    assert!(insensitive.schemes[0].claims > 0);
+}
+
+#[test]
+fn seeded_hw_order_insensitivity_lie_breaks_commutation() {
+    // A full-map directory that claims order insensitivity: the heap
+    // would replay each stream straight through, but some pair of its
+    // accesses gives different results in the two orders.
+    let v = seeded(SchemeId::FULL_MAP, |e| {
+        e.as_any_mut()
+            .downcast_mut::<DirectoryEngine>()
+            .expect("directory engine")
+            .debug_claim_order_insensitive();
+    });
+    assert_eq!(v.invariant, RUN_AHEAD_COMMUTES);
+    assert_minimal(&v);
+    let [.., Step::Op { proc: p, .. }, Step::Op { proc: q, .. }] = v.trace[..] else {
+        panic!(
+            "a run-ahead counterexample ends in two accesses: {:?}",
+            v.trace
+        );
+    };
+    assert_ne!(p, q);
+    assert_eq!(v.diagnostic().code, tpi_analysis::Code::Tpi901);
 }
 
 /// The counterexample renderings are a stable contract: CI logs and

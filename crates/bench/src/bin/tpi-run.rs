@@ -43,8 +43,6 @@ OPTIONS:
     --scale test|paper|large  problem size for --kernel [default: paper]
     --scheme <s>|all      scheme(s) to simulate        [default: tpi]
     --procs <n>           processors, 1-4096
-    --shards <n>          shard the replay loop, 1-256 (execution knob:
-                          results are bit-identical for any value)
     --line-words <n>      cache line size in words, 1-64
     --tag-bits <n>        timetag width in bits, 1-32
     --cache-kb <n>        per-node cache size in KB, 1-65536
@@ -70,9 +68,6 @@ struct Options {
     lint: bool,
     profile: bool,
     misses: bool,
-    /// Replay-loop shard count (`None` leaves the runner's default, which
-    /// honours the `TPI_SIM_SHARDS` environment variable).
-    shards: Option<usize>,
 }
 
 enum Source {
@@ -92,7 +87,6 @@ fn parse_args() -> Result<Option<Options>, CliError> {
     let mut lint = false;
     let mut profile = false;
     let mut misses = false;
-    let mut shards: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -130,9 +124,6 @@ fn parse_args() -> Result<Option<Options>, CliError> {
             "--procs" => {
                 builder =
                     builder.procs(parse_bounded("--procs", &value("--procs")?, 1, 4096)? as u32);
-            }
-            "--shards" => {
-                shards = Some(parse_bounded("--shards", &value("--shards")?, 1, 256)? as usize);
             }
             "--line-words" => {
                 builder = builder.line_words(parse_bounded(
@@ -208,7 +199,6 @@ fn parse_args() -> Result<Option<Options>, CliError> {
         lint,
         profile,
         misses,
-        shards,
     }))
 }
 
@@ -297,10 +287,7 @@ fn run(opts: &Options) -> ExitCode {
             s.shared_reads, s.marked, s.plain, s.covered
         );
     }
-    let runner = match opts.shards {
-        Some(s) => Runner::new().with_sim_shards(s),
-        None => Runner::new(),
-    };
+    let runner = Runner::new();
     let run_started = std::time::Instant::now();
     let grid = match runner
         .grid()

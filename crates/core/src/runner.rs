@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use tpi_compiler::{mark_program, CompilerOptions, Marking};
 use tpi_ir::Program;
 use tpi_proto::{build_engine, SchemeId};
-use tpi_sim::{run_trace, run_trace_sharded, verify_accounting, ShardOptions};
+use tpi_sim::{run_trace, verify_accounting};
 use tpi_trace::{generate_trace, EpochEvents, Trace, TraceError, TraceOptions};
 use tpi_workloads::{Kernel, Scale};
 
@@ -294,9 +294,6 @@ pub struct Runner {
     /// At most this many traces stay memoized (see
     /// [`Runner::with_trace_limit`]); `None` keeps every trace.
     trace_limit: Option<usize>,
-    /// Engine shards per simulated cell (see [`Runner::with_sim_shards`]).
-    /// Purely an execution knob: results are bit-identical for any value.
-    sim_shards: usize,
     store: Mutex<ArtifactStore>,
     stats: StatCells,
     prof: crate::prof::Profiler,
@@ -331,42 +328,23 @@ impl Runner {
     /// A runner with an explicit worker count (`0` is clamped to 1).
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        let sim_shards = std::env::var("TPI_SIM_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
         Runner {
             threads: threads.max(1),
             memoize: true,
             trace_limit: None,
-            sim_shards,
             store: Mutex::new(ArtifactStore::default()),
             stats: StatCells::default(),
             prof: crate::prof::Profiler::new(),
         }
     }
 
-    /// Replays each simulated cell on `shards` engine shards
-    /// ([`tpi_sim::run_trace_sharded`]); `0` and `1` both mean the serial
-    /// replay loop. `TPI_SIM_SHARDS` sets the default for runners built
-    /// by the other constructors.
-    ///
-    /// This is an execution knob, not an experiment axis: the sharded
-    /// replay is bit-identical to the serial one (schemes whose protocol
-    /// state is interleaving-order-sensitive fall back to serial
-    /// internally), so it does not participate in cell keys, memoization,
-    /// or reproducibility stamps.
+    /// Inert shim: returns `self` unchanged. Every cell replays on one
+    /// engine; this remains only because the repository benchmark
+    /// package calls it, and goes when the benchmark drops its
+    /// `sim.sharded.*` metrics.
     #[must_use]
-    pub fn with_sim_shards(mut self, shards: usize) -> Self {
-        self.sim_shards = shards.max(1);
+    pub fn with_sim_shards(self, _shards: usize) -> Self {
         self
-    }
-
-    /// The configured per-cell shard count.
-    #[must_use]
-    pub fn sim_shards(&self) -> usize {
-        self.sim_shards
     }
 
     /// Disables the artifact cache: every cell rebuilds, re-marks, and
@@ -790,7 +768,6 @@ impl Runner {
                     &cell.spec.config,
                     cell.trace.as_ref(),
                     cell.marking.as_ref(),
-                    self.sim_shards,
                 )
             })
         };
@@ -815,12 +792,7 @@ impl Runner {
             let marking = mark_program(program.as_ref(), &cell.config.compiler_options());
             let trace = generate_trace(program.as_ref(), &marking, &cell.config.trace_options())?;
             self.harvest_trace(&trace);
-            Ok(simulate_cell(
-                &cell.config,
-                &trace,
-                &marking,
-                self.sim_shards,
-            ))
+            Ok(simulate_cell(&cell.config, &trace, &marking))
         });
         fresh_scope.finish();
         for r in results.iter().filter_map(|r| r.as_ref().ok()) {
@@ -845,31 +817,12 @@ impl Runner {
 
 /// The scheme-dependent tail of the pipeline; bit-identical to what
 /// [`crate::run_program`] does after trace generation.
-fn simulate_cell(
-    config: &ExperimentConfig,
-    trace: &Trace,
-    marking: &Marking,
-    shards: usize,
-) -> ExperimentResult {
-    let sim = if shards > 1 {
-        let shard_opts = ShardOptions {
-            shards,
-            ..ShardOptions::default()
-        };
-        run_trace_sharded(
-            trace,
-            config.scheme,
-            &config.engine_config(trace.layout.total_words()),
-            &config.sim_options(),
-            &shard_opts,
-        )
-    } else {
-        let mut engine = build_engine(
-            config.scheme,
-            config.engine_config(trace.layout.total_words()),
-        );
-        run_trace(trace, engine.as_mut(), &config.sim_options())
-    };
+fn simulate_cell(config: &ExperimentConfig, trace: &Trace, marking: &Marking) -> ExperimentResult {
+    let mut engine = build_engine(
+        config.scheme,
+        config.engine_config(trace.layout.total_words()),
+    );
+    let sim = run_trace(trace, engine.as_mut(), &config.sim_options());
     verify_accounting(&sim).expect("engine accounting identity");
     ExperimentResult {
         sim,
@@ -1496,7 +1449,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_counters_repeat_and_flat_schemes_never_run_ahead() {
+    fn replay_counters_repeat_and_order_insensitive_schemes_never_run_ahead() {
         let counters = |scheme: SchemeId| {
             let runner = Runner::serial();
             let cfg = ExperimentConfig {
@@ -1517,8 +1470,8 @@ mod tests {
             assert!(ahead + switches <= events, "{scheme}");
             let engine =
                 tpi_proto::build_engine(scheme, ExperimentConfig::paper().engine_config(64));
-            if engine.shard_safe() {
-                assert_eq!([switches, ahead], [0, 0], "{scheme} replays flat");
+            if engine.order_insensitive() {
+                assert_eq!([switches, ahead], [0, 0], "{scheme} never yields");
             } else {
                 assert!(ahead > 0, "{scheme}: OCEAN's unshared lines run ahead");
             }

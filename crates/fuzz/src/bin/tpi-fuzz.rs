@@ -26,7 +26,8 @@ OPTIONS:
     --sabotage <hook>     break one engine on purpose (tpi-skip-resets,
                           hw-drop-sharer, ll-drop-sharer,
                           base-cache-shared, hybrid-drop-sharer,
-                          tardis-rewind-wts, hw-claims-shard-safe,
+                          tardis-rewind-wts,
+                          hw-claims-order-insensitive,
                           hw-commutes-always)
     --emit-corpus <dir>   write each violation's minimized (or full)
                           reproducer as <dir>/<kernel>.tpi

@@ -27,13 +27,13 @@
 //!    false) must produce cycle-identical results at Naive and Full
 //!    (only the marks differ between those traces), and every scheme
 //!    must agree on the trace-determined read/write totals.
-//! 8. **Replay** — [`run_trace`], the min-clock reference
-//!    [`run_trace_reference`], and the shard protocol at 2 and 7 shards
-//!    must produce identical results: every [`SimResult`] field but host
-//!    time. This is what holds each engine's
-//!    [`CoherenceEngine::shard_safe`] claim to account, since that flag
-//!    picks the default replay path, and its [`CoherenceEngine::commutes`]
-//!    rule, which lets the heap replay run a processor ahead.
+//! 8. **Replay** — [`run_trace`] and the min-clock reference
+//!    [`run_trace_reference`] must produce identical results: every
+//!    [`SimResult`] field but host time. This is what holds each engine's
+//!    [`CoherenceEngine::order_insensitive`] claim to account, since that
+//!    flag lets the heap replay run every stream straight through, and
+//!    its [`CoherenceEngine::commutes`] rule, which lets the heap replay
+//!    run a processor ahead.
 //!
 //! Violations become stable `TPI902 fuzz-violation` diagnostics.
 
@@ -47,10 +47,7 @@ use tpi::proto::{
     TardisEngine, TpiEngine,
 };
 use tpi::runner::{ProgramSource, RunSpec};
-use tpi::sim::{
-    run_trace, run_trace_reference, run_trace_sharded_with, verify_accounting, ShardExec,
-    ShardOptions, SimResult,
-};
+use tpi::sim::{run_trace, run_trace_reference, verify_accounting, SimResult};
 use tpi::trace::SchedulePolicy;
 use tpi::{catch_cell_panic, ExperimentConfig, Runner};
 use tpi_analysis::diag::json_string;
@@ -107,8 +104,7 @@ pub enum ViolationClass {
     Invariant,
     /// Scheme results disagree where the registry says they must not.
     Agreement,
-    /// The default replay, the min-clock reference replay and sharded
-    /// replay disagree.
+    /// The default replay and the min-clock reference replay disagree.
     Replay,
 }
 
@@ -147,9 +143,10 @@ pub enum Sabotage {
     HybridDropSharer,
     /// Tardis rewinds word 0's write timestamp.
     TardisRewindWts,
-    /// The full-map directory claims to be shard-safe, so it replays flat
-    /// although its sharer state is order-sensitive.
-    FullmapClaimsShardSafe,
+    /// The full-map directory claims to be order-insensitive, so the heap
+    /// replay runs each stream straight through although its sharer state
+    /// is order-sensitive.
+    FullmapClaimsOrderInsensitive,
     /// The full-map directory declares every access commuting, so the heap
     /// replay lets each processor run ahead past the directory state
     /// others depend on.
@@ -165,7 +162,7 @@ impl Sabotage {
         Sabotage::BaseCacheShared,
         Sabotage::HybridDropSharer,
         Sabotage::TardisRewindWts,
-        Sabotage::FullmapClaimsShardSafe,
+        Sabotage::FullmapClaimsOrderInsensitive,
         Sabotage::FullmapCommutesAlways,
     ];
 
@@ -179,7 +176,7 @@ impl Sabotage {
             Sabotage::BaseCacheShared => "base-cache-shared",
             Sabotage::HybridDropSharer => "hybrid-drop-sharer",
             Sabotage::TardisRewindWts => "tardis-rewind-wts",
-            Sabotage::FullmapClaimsShardSafe => "hw-claims-shard-safe",
+            Sabotage::FullmapClaimsOrderInsensitive => "hw-claims-order-insensitive",
             Sabotage::FullmapCommutesAlways => "hw-commutes-always",
         }
     }
@@ -190,7 +187,7 @@ impl Sabotage {
         match self {
             Sabotage::TpiSkipResets => SchemeId::TPI,
             Sabotage::FullmapDropSharer
-            | Sabotage::FullmapClaimsShardSafe
+            | Sabotage::FullmapClaimsOrderInsensitive
             | Sabotage::FullmapCommutesAlways => SchemeId::FULL_MAP,
             Sabotage::LimitlessDropSharer => SchemeId::LIMITLESS,
             Sabotage::BaseCacheShared => SchemeId::BASE,
@@ -214,9 +211,7 @@ impl Sabotage {
             })
     }
 
-    /// Breaks `engine` in place (no-op if it is not the targeted type, and
-    /// for [`Sabotage::FullmapClaimsShardSafe`], whose lie is told by the
-    /// wrapping engine).
+    /// Breaks `engine` in place (no-op if it is not the targeted type).
     pub fn apply(self, engine: &mut dyn CoherenceEngine) {
         let any = engine.as_any_mut();
         match self {
@@ -245,7 +240,11 @@ impl Sabotage {
                     e.debug_rewind_wts(WordAddr(0));
                 }
             }
-            Sabotage::FullmapClaimsShardSafe => {}
+            Sabotage::FullmapClaimsOrderInsensitive => {
+                if let Some(e) = any.downcast_mut::<DirectoryEngine>() {
+                    e.debug_claim_order_insensitive();
+                }
+            }
             Sabotage::FullmapCommutesAlways => {
                 if let Some(e) = any.downcast_mut::<DirectoryEngine>() {
                     e.debug_commute_always();
@@ -329,8 +328,8 @@ impl CoherenceEngine for SabotagedEngine {
     fn op_counts(&self) -> Vec<(&'static str, u64)> {
         self.inner.op_counts()
     }
-    fn shard_safe(&self) -> bool {
-        self.hook == Sabotage::FullmapClaimsShardSafe || self.inner.shard_safe()
+    fn order_insensitive(&self) -> bool {
+        self.inner.order_insensitive()
     }
     fn commutes(
         &self,
@@ -340,15 +339,6 @@ impl CoherenceEngine for SabotagedEngine {
         refs: &tpi::proto::EpochRefs,
     ) -> bool {
         self.inner.commutes(proc, addr, write, refs)
-    }
-    fn enable_shard_tracking(&mut self) {
-        self.inner.enable_shard_tracking();
-    }
-    fn drain_version_updates(&mut self) -> Vec<(u64, u64)> {
-        self.inner.drain_version_updates()
-    }
-    fn apply_version_updates(&mut self, updates: &[(u64, u64)]) {
-        self.inner.apply_version_updates(updates);
     }
 }
 
@@ -563,9 +553,9 @@ fn first_difference(a: &SimResult, b: &SimResult) -> Option<&'static str> {
     .map(|(field, _)| field)
 }
 
-/// Replays `trace` by the min-clock reference and sharded at 2 and 7
-/// shards, on engines from `build`, and describes the first way one of
-/// them, or `sim` (the default replay), departs from the reference.
+/// Replays `trace` by the min-clock reference on an engine from `build`,
+/// and describes the first way `sim` (the default replay) departs from
+/// it.
 fn replay_mismatch(
     trace: &tpi::trace::Trace,
     build: &dyn Fn() -> Box<dyn CoherenceEngine>,
@@ -576,33 +566,13 @@ fn replay_mismatch(
         Ok(r) => r,
         Err(panic) => return Some(format!("reference replay panicked: {panic}")),
     };
-    let differs = |label: &str, got: &SimResult| {
-        first_difference(got, &reference).map(|field| {
-            format!(
-                "{label} differs from the reference replay in {field} \
-                 (total cycles {} vs {})",
-                got.total_cycles, reference.total_cycles
-            )
-        })
-    };
-    if let Some(d) = differs("run_trace", sim) {
-        return Some(d);
-    }
-    for shards in [2, 7] {
-        let so = ShardOptions {
-            shards,
-            exec: ShardExec::Inline,
-        };
-        match catch_cell_panic(|| run_trace_sharded_with(trace, build, opts, &so)) {
-            Ok(got) => {
-                if let Some(d) = differs(&format!("{shards}-shard replay"), &got) {
-                    return Some(d);
-                }
-            }
-            Err(panic) => return Some(format!("{shards}-shard replay panicked: {panic}")),
-        }
-    }
-    None
+    first_difference(sim, &reference).map(|field| {
+        format!(
+            "run_trace differs from the reference replay in {field} \
+             (total cycles {} vs {})",
+            sim.total_cycles, reference.total_cycles
+        )
+    })
 }
 
 /// Runs the whole differential predicate over one program.
@@ -732,7 +702,7 @@ fn check_program(
                             });
                         }
                     }
-                    // 8. Every replay path must reproduce the reference
+                    // 8. The default replay must reproduce the reference
                     // order exactly.
                     if let Some(detail) = replay_mismatch(trace, &build, &sim_opts, &sim) {
                         out.push(RawViolation {
@@ -951,15 +921,18 @@ mod tests {
     use tpi::proto::EngineConfig;
 
     #[test]
-    fn sabotaged_engines_report_the_inner_shard_safety_unless_the_hook_lies() {
+    fn sabotaged_engines_report_the_inner_order_insensitivity_unless_the_hook_lies() {
         let wrap = |scheme: SchemeId, hook: Sabotage| {
             let inner = build_engine(scheme, EngineConfig::paper_default(64));
-            SabotagedEngine::new(inner, hook).shard_safe()
+            SabotagedEngine::new(inner, hook).order_insensitive()
         };
         assert!(wrap(SchemeId::TPI, Sabotage::TpiSkipResets));
         assert!(wrap(SchemeId::BASE, Sabotage::BaseCacheShared));
         assert!(!wrap(SchemeId::HYBRID, Sabotage::HybridDropSharer));
         assert!(!wrap(SchemeId::FULL_MAP, Sabotage::FullmapDropSharer));
-        assert!(wrap(SchemeId::FULL_MAP, Sabotage::FullmapClaimsShardSafe));
+        assert!(wrap(
+            SchemeId::FULL_MAP,
+            Sabotage::FullmapClaimsOrderInsensitive
+        ));
     }
 }

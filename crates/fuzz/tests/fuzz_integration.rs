@@ -104,20 +104,24 @@ fn sabotaged_engine_is_caught_and_minimized() {
 }
 
 #[test]
-fn shard_safety_lie_is_caught_by_the_replay_class_and_minimized() {
-    // A full-map directory that claims shard-safety replays flat and
-    // shards into replicas that never see each other's sharers: the
-    // replay class must notice, and shrink the kernel.
+fn order_insensitivity_lie_is_caught_by_the_replay_class_and_minimized() {
+    // A full-map directory that claims order insensitivity replays each
+    // processor's stream straight through, past sharer and owner state
+    // the others depend on: the replay class must notice, and shrink the
+    // kernel.
     let opts = FuzzOptions {
         seed: 7,
         count: 2,
         schemes: vec![SchemeId::FULL_MAP],
         minimize: true,
-        sabotage: Some(Sabotage::FullmapClaimsShardSafe),
+        sabotage: Some(Sabotage::FullmapClaimsOrderInsensitive),
         ..FuzzOptions::default()
     };
     let report = run_fuzz(&opts);
-    assert!(!report.is_clean(), "the shard-safety lie went unnoticed");
+    assert!(
+        !report.is_clean(),
+        "the order-insensitivity lie went unnoticed"
+    );
     for v in &report.violations {
         assert_eq!(
             v.class,

@@ -111,15 +111,6 @@ impl TrafficStats {
         self.messages[class.index()] += 1;
         self.words[class.index()] += 1 + u64::from(payload_words);
     }
-
-    /// Adds `other`'s counters into `self` (used by the shard-parallel
-    /// simulator to fold per-shard networks into one total).
-    pub fn merge(&mut self, other: &TrafficStats) {
-        for i in 0..self.messages.len() {
-            self.messages[i] += other.messages[i];
-            self.words[i] += other.words[i];
-        }
-    }
 }
 
 /// Physical parameters of the network and memory system.
@@ -273,31 +264,13 @@ impl Network {
     /// Ends an epoch of `elapsed` cycles: folds the epoch's injected words
     /// into the load estimate for the next epoch.
     pub fn end_epoch(&mut self, elapsed: Cycle) {
-        let words = self.epoch_words;
-        self.end_epoch_as(words, elapsed);
-    }
-
-    /// Words injected since the last epoch end (for the shard-parallel
-    /// simulator, which sums the accumulators of every shard's network
-    /// before closing the epoch on each of them).
-    #[must_use]
-    pub fn epoch_words(&self) -> u64 {
-        self.epoch_words
-    }
-
-    /// Ends an epoch of `elapsed` cycles as if `total_words` had been
-    /// injected on this network. The shard-parallel simulator calls this
-    /// on every shard with the *machine-wide* word total so all shards
-    /// compute the identical load estimate; [`Network::end_epoch`] is the
-    /// single-network special case.
-    pub fn end_epoch_as(&mut self, total_words: u64, elapsed: Cycle) {
-        self.epoch_words = 0;
+        let words = std::mem::take(&mut self.epoch_words);
         if elapsed == 0 {
             return;
         }
         // Per-port channel utilization: words * cycles-per-word spread over
         // P ports for `elapsed` cycles.
-        let util = (total_words as f64 * self.cfg.word_cycles as f64)
+        let util = (words as f64 * self.cfg.word_cycles as f64)
             / (f64::from(self.cfg.processors) * elapsed as f64);
         self.set_rho(util.min(self.cfg.max_rho));
     }

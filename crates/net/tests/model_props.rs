@@ -70,7 +70,11 @@ proptest! {
         cfg.switch_degree = k;
         let mut net = Network::new(cfg);
         for &(words, elapsed) in &loads {
-            net.end_epoch_as(words, elapsed);
+            // One message of `words` words (header included).
+            if words > 0 {
+                net.record(TrafficClass::Read, (words - 1) as u32);
+            }
+            net.end_epoch(elapsed);
             // wait(rho) = rho (1 - 1/k) / (2 (1 - rho)), rho clamped;
             // latency = round(stages * stage_cycles * (1 + wait))
             //           + (1 + w) * word_cycles.

@@ -72,6 +72,8 @@ pub struct DirectoryEngine {
     name: &'static str,
     /// Test-only sabotage: declare every access commuting.
     commutes_always: bool,
+    /// Test-only sabotage: claim order insensitivity.
+    claims_order_insensitive: bool,
 }
 
 impl DirectoryEngine {
@@ -108,6 +110,7 @@ impl DirectoryEngine {
             limitless,
             name,
             commutes_always: false,
+            claims_order_insensitive: false,
             cfg,
         }
     }
@@ -264,6 +267,16 @@ impl DirectoryEngine {
     #[doc(hidden)]
     pub fn debug_commute_always(&mut self) {
         self.commutes_always = true;
+    }
+
+    /// Test-only sabotage for the `tpi-model` and `tpi-fuzz`
+    /// seeded-violation tests: claim
+    /// [`CoherenceEngine::order_insensitive`], so the heap replay runs
+    /// each processor's stream straight through, past directory state
+    /// others depend on.
+    #[doc(hidden)]
+    pub fn debug_claim_order_insensitive(&mut self) {
+        self.claims_order_insensitive = true;
     }
 
     /// Test-only sabotage for the `tpi-model` seeded-violation tests:
@@ -435,6 +448,10 @@ impl CoherenceEngine for DirectoryEngine {
             }
         }
         1
+    }
+
+    fn order_insensitive(&self) -> bool {
+        self.claims_order_insensitive
     }
 
     /// An access commutes when no other processor references its line

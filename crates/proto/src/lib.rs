@@ -232,8 +232,8 @@ impl AccessOutcome {
 ///
 /// `Debug` is a supertrait so model-checking tooling can fingerprint the
 /// complete protocol state; all engines derive it. `Send` is a supertrait
-/// so the shard-parallel simulator can move engines onto worker threads;
-/// engines are plain data and satisfy it structurally.
+/// so an engine can move to the thread that replays it; engines are plain
+/// data and satisfy it structurally.
 pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// Scheme label for reports.
     fn name(&self) -> &'static str;
@@ -304,22 +304,21 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
         Vec::new()
     }
 
-    /// Whether this engine's per-event outcomes are a pure function of
-    /// per-processor state, epoch-start global state, and commutative
-    /// global accumulators, never of how other processors interleave
-    /// within the epoch.
+    /// Whether every access of a sync-free epoch commutes with every
+    /// other processor's: each per-event outcome is a pure function of
+    /// per-processor state, global state committed at the last epoch
+    /// boundary, and commutative global accumulators, never of how other
+    /// processors interleave within the epoch.
     ///
-    /// The flag decides the replay path of every run, not only of sharded
-    /// ones. When it is true, the simulator replays each sync-free epoch
-    /// one processor stream at a time, on one engine in `run_trace` or on
-    /// engine replicas merged at epoch boundaries in `run_trace_sharded`:
-    /// every access commutes. When it is false, sync-free epochs replay
-    /// through a heap of processor clocks in min-clock order, except where
+    /// When it is true, the simulator's heap replay never yields: each
+    /// sync-free epoch replays one processor stream at a time, and no
+    /// [`EpochRefs`] table is built. When it is false, sync-free epochs
+    /// replay in min-clock order, except where
     /// [`CoherenceEngine::commutes`] lets a processor run ahead. A wrong
-    /// `true` therefore
-    /// changes serial results; the `replay` class of `tpi-fuzz` and the
-    /// reference pins compare both paths against the min-clock reference
-    /// replay.
+    /// `true` therefore changes results. `tpi-model` checks the claim at
+    /// every explored state of an epoch without critical accesses, and
+    /// the `replay` class of `tpi-fuzz` and the reference pins compare
+    /// `run_trace` against the min-clock reference replay.
     ///
     /// True for the epoch-disciplined schemes (BASE, SC, TPI, IDEAL):
     /// their only cross-processor state is the memory version table,
@@ -327,8 +326,9 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// drain). False for the order-sensitive schemes: the directory
     /// engines observe mid-epoch sharer/owner state (three-hop dirty
     /// fetches, false-sharing invalidations) and Tardis stamps leases
-    /// from a live global read-timestamp table.
-    fn shard_safe(&self) -> bool {
+    /// from a live global read-timestamp table. Wrapping engines must
+    /// forward it.
+    fn order_insensitive(&self) -> bool {
         false
     }
 
@@ -351,35 +351,15 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// The answer must hold for the rest of the epoch whatever the other
     /// processors do (they can only remove this processor's holdings, never
     /// add to them), and must cover critical reads and writes as their
-    /// plain forms. A [`CoherenceEngine::shard_safe`] engine is the case
-    /// where every access commutes. The default, `false`, keeps the plain
-    /// min-clock order; the reference pins in `crates/sim/tests`, the
-    /// `replay` class of `tpi-fuzz` and `tpi-model`'s commutation check
-    /// hold every engine to its rule. Wrapping engines must forward it.
+    /// plain forms. An [`CoherenceEngine::order_insensitive`] engine is the
+    /// case where every access commutes. The default, `false`, keeps the
+    /// plain min-clock order; the reference pins in `crates/sim/tests`,
+    /// the `replay` class of `tpi-fuzz` and `tpi-model`'s commutation
+    /// check hold every engine to its rule. Wrapping engines must forward
+    /// it.
     fn commutes(&self, _proc: ProcId, _addr: WordAddr, _write: bool, _refs: &EpochRefs) -> bool {
         false
     }
-
-    /// Switches on recording of memory-version commits so the shard
-    /// runner can exchange them between replicas (see
-    /// [`CoherenceEngine::drain_version_updates`]). Off by default:
-    /// serial runs must not pay for an ever-growing update log.
-    fn enable_shard_tracking(&mut self) {}
-
-    /// Takes the `(word address, version)` pairs committed to the memory
-    /// version table since the last drain. Empty unless
-    /// [`CoherenceEngine::enable_shard_tracking`] was called.
-    fn drain_version_updates(&mut self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-
-    /// Max-merges another shard's drained version commits into this
-    /// engine's memory version table. Versions grow monotonically, so the
-    /// merge is commutative and idempotent — shard order cannot matter.
-    /// Must not disturb any observational counter (a one-shard run only
-    /// ever passes it an empty slice, and the shard merge must stay
-    /// bit-identical to that run).
-    fn apply_version_updates(&mut self, _updates: &[(u64, u64)]) {}
 }
 
 /// Builds the engine for `scheme` through the global [`registry`].

@@ -540,20 +540,8 @@ impl CoherenceEngine for TpiEngine {
         ]
     }
 
-    fn shard_safe(&self) -> bool {
+    fn order_insensitive(&self) -> bool {
         true
-    }
-
-    fn enable_shard_tracking(&mut self) {
-        self.versions.enable_tracking();
-    }
-
-    fn drain_version_updates(&mut self) -> Vec<(u64, u64)> {
-        self.versions.drain_updates()
-    }
-
-    fn apply_version_updates(&mut self, updates: &[(u64, u64)]) {
-        self.versions.apply_updates(updates);
     }
 }
 

@@ -11,8 +11,7 @@
 //! the epoch's traffic.
 //!
 //! This module holds the result types and the entry points; the replay
-//! itself is the epoch phase protocol in [`crate::shard`], of which
-//! [`run_trace`] is the one-shard case.
+//! itself is the replay core in [`crate::replay`].
 
 use std::time::Instant;
 use tpi_mem::Cycle;
@@ -54,8 +53,8 @@ pub struct EpochProfile {
 /// compare cycles, protocol counters, and traffic — never host time).
 #[derive(Debug, Clone, Default)]
 pub struct SimHostProfile {
-    /// Host nanoseconds spent replaying events (every epoch's replay
-    /// phase, flat, heap or scan, including engine read/write calls).
+    /// Host nanoseconds spent replaying events (every epoch's heap or scan
+    /// replay, including engine read/write calls).
     pub replay_nanos: u64,
     /// Host nanoseconds spent in [`CoherenceEngine::epoch_boundary`]
     /// (write-buffer drains, two-phase resets).
@@ -64,12 +63,13 @@ pub struct SimHostProfile {
     pub events: u64,
     /// Processor switches of the heap replay: times the running processor
     /// yielded to one with a smaller clock. Deterministic; 0 when every
-    /// epoch replays flat or by scan.
+    /// epoch replays by scan or the engine is
+    /// [`CoherenceEngine::order_insensitive`].
     pub switches: u64,
     /// Events the heap replay issued ahead of a processor with a smaller
     /// clock, because they commute with the rest of their epoch
     /// ([`CoherenceEngine::commutes`]). Deterministic; 0 when every epoch
-    /// replays flat or by scan.
+    /// replays by scan or the engine is order-insensitive.
     pub run_ahead: u64,
     /// Engine-reported operation counters (see
     /// [`CoherenceEngine::op_counts`]).
@@ -148,25 +148,22 @@ impl SimResult {
 
 /// Replays `trace` against `engine`.
 ///
-/// This is the one-shard case of the epoch phase protocol in
-/// [`crate::shard`]: each epoch replays flat, through a heap of processor
-/// clocks, or by scan, as its synchronization events and
-/// [`CoherenceEngine::shard_safe`] allow (see the module docs there). The
-/// result always equals [`run_trace_reference`]'s.
+/// Each epoch replays through a heap of processor clocks, or by scan when
+/// it holds lock or post/wait events (see [`crate::replay`]). The result
+/// always equals [`run_trace_reference`]'s.
 ///
 /// # Panics
 ///
 /// Panics if the trace was generated for a different processor count than
 /// the engine was built with, or on a malformed trace (lock deadlock).
 pub fn run_trace(trace: &Trace, engine: &mut dyn CoherenceEngine, opts: &SimOptions) -> SimResult {
-    crate::shard::run_one_shard(trace, engine, opts, false)
+    crate::replay::replay(trace, engine, opts, false)
 }
 
 /// Replays `trace` against `engine` with the min-clock scan in every
-/// epoch: the reference order that [`run_trace`] and
-/// [`crate::run_trace_sharded`] must reproduce exactly. Equivalence tests
-/// and the differential fuzzer compare against it; it is `O(P)` per event,
-/// so nothing else should call it.
+/// epoch: the reference order that [`run_trace`] must reproduce exactly.
+/// Equivalence tests and the differential fuzzer compare against it; it is
+/// `O(P)` per event, so nothing else should call it.
 ///
 /// # Panics
 ///
@@ -176,7 +173,7 @@ pub fn run_trace_reference(
     engine: &mut dyn CoherenceEngine,
     opts: &SimOptions,
 ) -> SimResult {
-    crate::shard::run_one_shard(trace, engine, opts, true)
+    crate::replay::replay(trace, engine, opts, true)
 }
 
 /// Saturating nanoseconds since `start` (a duration that overflows `u64`

@@ -1,5 +1,5 @@
 //! `run_trace` against `run_trace_reference`, the min-clock scan over
-//! every epoch. Flat and heap replay are exact only if every field of the
+//! every epoch. Heap replay is exact only if every field of the
 //! result — host event and op counts included — matches the scan's, for
 //! every scheme, on kernels with locks, doacross, false sharing and wide
 //! machines, and on hand traces built so that a processor running ahead
@@ -120,8 +120,8 @@ impl CoherenceEngine for Recorder {
     fn stats(&self) -> &EngineStats {
         self.inner.stats()
     }
-    fn shard_safe(&self) -> bool {
-        self.inner.shard_safe()
+    fn order_insensitive(&self) -> bool {
+        self.inner.order_insensitive()
     }
 }
 
@@ -398,8 +398,8 @@ impl CoherenceEngine for RuleRecorder {
     fn stats(&self) -> &EngineStats {
         self.inner.stats()
     }
-    fn shard_safe(&self) -> bool {
-        self.inner.shard_safe()
+    fn order_insensitive(&self) -> bool {
+        self.inner.order_insensitive()
     }
     fn commutes(&self, proc: ProcId, addr: WordAddr, write: bool, refs: &EpochRefs) -> bool {
         let yes = self.inner.commutes(proc, addr, write, refs);

@@ -1,25 +1,17 @@
-//! Serial and sharded replay: accounting, host profile, and sharded
-//! results equal to the serial ones.
+//! Serial replay: accounting, scheme ordering, determinism and the host
+//! profile.
 
 mod common;
 
-use common::{all_schemes, assert_identical, doacross_program, producer_consumer_trace, trace_on};
+use common::{all_schemes, producer_consumer_trace};
 use tpi_proto::{build_engine, EngineConfig, SchemeId};
-use tpi_sim::{
-    run_trace, run_trace_sharded, verify_accounting, ShardExec, ShardOptions, SimOptions, SimResult,
-};
+use tpi_sim::{run_trace, verify_accounting, SimOptions, SimResult};
 use tpi_trace::{EpochEvents, Trace};
 
 fn run(scheme: SchemeId, trace: &Trace) -> SimResult {
     let cfg = EngineConfig::paper_default(trace.layout.total_words());
     let mut engine = build_engine(scheme, cfg);
     run_trace(trace, engine.as_mut(), &SimOptions::default())
-}
-
-fn sharded(scheme: SchemeId, trace: &Trace, shards: usize, exec: ShardExec) -> SimResult {
-    let cfg = EngineConfig::paper_default(trace.layout.total_words());
-    let so = ShardOptions { shards, exec };
-    run_trace_sharded(trace, scheme, &cfg, &SimOptions::default(), &so)
 }
 
 #[test]
@@ -93,70 +85,4 @@ fn write_through_schemes_report_buffer_stats() {
     assert!(run(SchemeId::TPI, &trace).wbuffer.is_some());
     assert!(run(SchemeId::SC, &trace).wbuffer.is_some());
     assert!(run(SchemeId::FULL_MAP, &trace).wbuffer.is_none());
-}
-
-#[test]
-fn sharded_tpi_matches_serial_inline() {
-    let trace = producer_consumer_trace();
-    let want = run(SchemeId::TPI, &trace);
-    for shards in [2, 3, 16] {
-        let got = sharded(SchemeId::TPI, &trace, shards, ShardExec::Inline);
-        assert_identical(&got, &want, &format!("shards={shards}"));
-    }
-}
-
-#[test]
-fn sharded_tpi_matches_serial_threaded() {
-    let trace = producer_consumer_trace();
-    let want = run(SchemeId::TPI, &trace);
-    let got = sharded(SchemeId::TPI, &trace, 4, ShardExec::Threads);
-    assert_identical(&got, &want, "threads");
-}
-
-#[test]
-fn sharded_sc_and_base_match_serial() {
-    let trace = producer_consumer_trace();
-    for scheme in [SchemeId::SC, SchemeId::BASE, SchemeId::IDEAL] {
-        let want = run(scheme, &trace);
-        let got = sharded(scheme, &trace, 4, ShardExec::Inline);
-        assert_identical(&got, &want, scheme.as_str());
-    }
-}
-
-#[test]
-fn order_sensitive_schemes_fall_back_to_serial() {
-    let trace = producer_consumer_trace();
-    for scheme in [SchemeId::FULL_MAP, SchemeId::TARDIS] {
-        let want = run(scheme, &trace);
-        let got = sharded(scheme, &trace, 8, ShardExec::Auto);
-        assert_identical(&got, &want, scheme.as_str());
-    }
-}
-
-#[test]
-fn syncful_epochs_match_serial_on_both_drivers() {
-    let trace = trace_on(&doacross_program(), 16);
-    for scheme in [SchemeId::TPI, SchemeId::SC] {
-        let want = run(scheme, &trace);
-        for exec in [ShardExec::Inline, ShardExec::Threads] {
-            let got = sharded(scheme, &trace, 4, exec);
-            assert_identical(&got, &want, &format!("{scheme}/{exec:?}"));
-        }
-    }
-}
-
-#[test]
-fn one_shard_is_the_serial_path() {
-    let trace = producer_consumer_trace();
-    let want = run(SchemeId::TPI, &trace);
-    let got = sharded(SchemeId::TPI, &trace, 1, ShardExec::Auto);
-    assert_identical(&got, &want, "one shard");
-}
-
-#[test]
-fn shard_count_exceeding_procs_is_clamped() {
-    let trace = producer_consumer_trace();
-    let want = run(SchemeId::TPI, &trace);
-    let got = sharded(SchemeId::TPI, &trace, 1000, ShardExec::Inline);
-    assert_identical(&got, &want, "clamped");
 }

@@ -239,44 +239,95 @@ fn assert_sim_identical(a: &tpi_sim::SimResult, b: &tpi_sim::SimResult, ctx: &st
     assert_eq!(a.miss_by_array, b.miss_by_array, "{ctx}: miss_by_array");
 }
 
+/// `kernel`'s test-scale trace under `config`.
+fn test_trace(kernel: Kernel, config: &ExperimentConfig) -> tpi_trace::Trace {
+    let program = kernel.build(Scale::Test);
+    let marking = tpi_compiler::mark_program(&program, &config.compiler_options());
+    tpi_trace::generate_trace(&program, &marking, &config.trace_options()).unwrap()
+}
+
+/// `run_trace` and the min-clock reference replay of `kernel`'s test-scale
+/// trace under `config`.
+fn replay_and_reference(
+    kernel: Kernel,
+    config: &ExperimentConfig,
+) -> (tpi_sim::SimResult, tpi_sim::SimResult) {
+    let trace = test_trace(kernel, config);
+    let run = |reference: bool| {
+        let mut engine = tpi_proto::build_engine(
+            config.scheme,
+            config.engine_config(trace.layout.total_words()),
+        );
+        let replay = if reference {
+            tpi_sim::run_trace_reference
+        } else {
+            tpi_sim::run_trace
+        };
+        replay(&trace, engine.as_mut(), &config.sim_options())
+    };
+    (run(false), run(true))
+}
+
+#[test]
+fn replay_equals_reference_for_every_scheme() {
+    // For EVERY registered scheme, the default replay must reproduce the
+    // min-clock reference order exactly. MDG exercises the scan (lock-
+    // guarded critical sections); FSHARE heavy false sharing; QCD2 the
+    // directory invalidation paths. Order-insensitive engines (BASE, SC,
+    // TPI, IDEAL) run each stream straight through the heap; the
+    // order-sensitive ones (HW, LL, TARDIS, HYB) switch and run ahead.
+    let schemes: Vec<SchemeId> = registry::global().all().iter().map(|s| s.id()).collect();
+    assert!(schemes.len() >= 8, "the full registry is under test");
+    for kernel in [Kernel::Mdg, Kernel::FalseShare, Kernel::Qcd2] {
+        for &scheme in &schemes {
+            let (got, want) = replay_and_reference(kernel, &cfg(scheme));
+            assert_sim_identical(&got, &want, &format!("{kernel}/{scheme}"));
+        }
+    }
+}
+
 #[test]
 fn sharded_replay_is_bit_identical_for_every_scheme() {
-    // The tentpole pin: for EVERY registered scheme, a sharded runner must
-    // produce results bit-identical to the serial replay loop. MDG
-    // exercises the sync-ful dispatcher path (lock-guarded critical
-    // sections route through the owner shard's engine replica); FSHARE
-    // exercises heavy cross-shard false sharing. Shard-safe engines
-    // (BASE, SC, TPI, IDEAL) take the flat per-shard path; order-sensitive
-    // ones (HW, LL, TARDIS, HYB) must detect themselves and fall back —
-    // either way the observable result is the same.
+    // `run_trace_sharded` is an inert shim kept only because the benchmark
+    // package times it (`sim.sharded.*`): for EVERY registered scheme and
+    // either executor it must return exactly `run_trace`'s result, so
+    // those metrics time the same replay. MDG exercises the scan (lock-
+    // guarded critical sections); FSHARE heavy false sharing.
+    use tpi_sim::{run_trace, run_trace_sharded, ShardExec, ShardOptions};
     let schemes: Vec<SchemeId> = registry::global().all().iter().map(|s| s.id()).collect();
     assert!(schemes.len() >= 8, "the full registry is under test");
     for kernel in [Kernel::Mdg, Kernel::FalseShare] {
         for &scheme in &schemes {
-            let serial = Runner::serial()
-                .with_sim_shards(1)
-                .run_kernel(kernel, Scale::Test, &cfg(scheme))
-                .unwrap();
-            let sharded = Runner::serial()
-                .with_sim_shards(4)
-                .run_kernel(kernel, Scale::Test, &cfg(scheme))
-                .unwrap();
-            assert_sim_identical(&serial.sim, &sharded.sim, &format!("{kernel}/{scheme}"));
-            assert_eq!(serial.marking, sharded.marking, "{kernel}/{scheme}");
-            assert_eq!(serial.trace, sharded.trace, "{kernel}/{scheme}");
+            let config = cfg(scheme);
+            let trace = test_trace(kernel, &config);
+            let engine_cfg = config.engine_config(trace.layout.total_words());
+            let opts = config.sim_options();
+            let serial = run_trace(
+                &trace,
+                tpi_proto::build_engine(scheme, engine_cfg.clone()).as_mut(),
+                &opts,
+            );
+            for exec in [ShardExec::Inline, ShardExec::Threads] {
+                let shards = ShardOptions { shards: 4, exec };
+                let sharded = run_trace_sharded(&trace, scheme, &engine_cfg, &opts, &shards);
+                assert_sim_identical(&serial, &sharded, &format!("{kernel}/{scheme}/{exec:?}"));
+            }
         }
     }
 }
 
 #[test]
 fn shard_counts_one_two_seven_and_sixty_four_agree() {
-    // `sim_shards` is an execution knob, not a model parameter: any count
-    // (including one exceeding the processor count, which clamps) must
-    // yield the identical result.
+    // `with_sim_shards` is an inert shim kept only because the benchmark
+    // package calls it: any count (including one exceeding the processor
+    // count) must yield the identical result, and that result must be the
+    // reference replay's.
     let reference = Runner::serial()
         .with_sim_shards(1)
         .run_kernel(Kernel::Qcd2, Scale::Test, &cfg(SchemeId::TPI))
         .unwrap();
+    let (_, scan) = replay_and_reference(Kernel::Qcd2, &cfg(SchemeId::TPI));
+    assert_sim_identical(&reference.sim, &scan, "shards=1 vs reference");
     for shards in [2usize, 7, 64] {
         let got = Runner::serial()
             .with_sim_shards(shards)
@@ -290,31 +341,19 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn shard_count_never_changes_results(
+    fn replay_equals_reference_across_seeds(
         seed in any::<u64>(),
-        shards in prop_oneof![Just(2usize), Just(3), Just(7), Just(64)],
         scheme in prop_oneof![Just(SchemeId::TPI), Just(SchemeId::SC)],
     ) {
         // Randomized seeds vary the opaque-subscript gather targets, so
-        // the shard-count-independence claim is checked across many
-        // distinct traces, not one golden input.
+        // the replay's exactness is checked across many distinct traces,
+        // not one golden input.
         let config = ExperimentConfig::builder()
             .scheme(scheme)
             .seed(seed)
             .build()
             .unwrap();
-        let serial = Runner::serial()
-            .with_sim_shards(1)
-            .run_kernel(Kernel::Qcd2, Scale::Test, &config)
-            .unwrap();
-        let sharded = Runner::serial()
-            .with_sim_shards(shards)
-            .run_kernel(Kernel::Qcd2, Scale::Test, &config)
-            .unwrap();
-        prop_assert_eq!(serial.sim.total_cycles, sharded.sim.total_cycles);
-        prop_assert_eq!(&serial.sim.agg, &sharded.sim.agg);
-        prop_assert_eq!(&serial.sim.per_proc, &sharded.sim.per_proc);
-        prop_assert_eq!(&serial.sim.traffic, &sharded.sim.traffic);
-        prop_assert_eq!(&serial.sim.miss_by_array, &sharded.sim.miss_by_array);
+        let (got, want) = replay_and_reference(Kernel::Qcd2, &config);
+        assert_sim_identical(&got, &want, &format!("QCD2/{scheme}/seed {seed}"));
     }
 }
