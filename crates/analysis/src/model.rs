@@ -15,7 +15,7 @@
 //! * **accounting** — every read is a hit or a classified miss
 //!   ([`tpi::EngineStepper::check_accounting`]), and
 //! * **scheme invariants** — whatever structural properties the scheme
-//!   registered via [`Scheme::model_invariants`] (directory entries
+//!   supplies through [`Scheme::model_invariants`] (directory entries
 //!   cover cached lines, timetag ages respect the phase discipline,
 //!   Tardis leases are justified, …).
 //!
@@ -66,7 +66,8 @@
 //!
 //! Counterexamples are shrunk to a 1-minimal interleaving by greedy
 //! delta debugging (drop any single step while the same invariant still
-//! fires, to fixpoint) and reported as [`Code::Tpi901`] diagnostics.
+//! fires, to fixpoint; a run-ahead counterexample keeps its barriers) and
+//! reported as [`Code::Tpi901`] diagnostics.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -75,7 +76,7 @@ use std::hash::{Hash, Hasher};
 use tpi::cache::CacheConfig;
 use tpi::proto::registry::{self, Scheme};
 use tpi::proto::{
-    AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs, ModelInvariant, SchemeId,
+    AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs, ModelInvariant, Sabotage, SchemeId,
 };
 use tpi::{catch_cell_panic, EngineStepper};
 use tpi_mem::{LineGeometry, ProcId, WordAddr};
@@ -190,16 +191,6 @@ impl Program {
         }
         true
     }
-
-    /// Total number of accesses across all epochs and processors.
-    #[must_use]
-    pub fn total_ops(&self) -> usize {
-        self.epochs
-            .iter()
-            .flat_map(|e| e.iter())
-            .map(Vec::len)
-            .sum()
-    }
 }
 
 /// One transition of the explored schedule. `Op` carries the access it
@@ -243,7 +234,7 @@ pub fn trace_string(trace: &[Step]) -> String {
 }
 
 /// Bounds and hooks for one model-checking run.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelOptions {
     /// Processors per configuration (2–4).
     pub procs: u32,
@@ -257,11 +248,11 @@ pub struct ModelOptions {
     /// Distinct-state budget per (scheme, program); exploration reports
     /// `truncated` when it is hit.
     pub max_states: u64,
-    /// Test hook: mutation applied to the engine after every step
-    /// (idempotent sabotage such as `TpiEngine::debug_skip_resets`), so
-    /// the seeded-violation tests can prove the checker catches each
-    /// invariant. `None` in normal runs.
-    pub sabotage: Option<fn(&mut dyn CoherenceEngine)>,
+    /// Test hook: a [`Sabotage`] applied to the engine after every step
+    /// (a no-op on engines it does not target), so the seeded-violation
+    /// tests can prove the checker catches each invariant. `None` in
+    /// normal runs.
+    pub sabotage: Option<Sabotage>,
 }
 
 impl Default for ModelOptions {
@@ -274,19 +265,6 @@ impl Default for ModelOptions {
             max_states: 1_000_000,
             sabotage: None,
         }
-    }
-}
-
-impl fmt::Debug for ModelOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ModelOptions")
-            .field("procs", &self.procs)
-            .field("words", &self.words)
-            .field("depth", &self.depth)
-            .field("epochs", &self.epochs)
-            .field("max_states", &self.max_states)
-            .field("sabotage", &self.sabotage.is_some())
-            .finish()
     }
 }
 
@@ -783,7 +761,7 @@ pub fn check_schemes(ids: &[SchemeId], opts: &ModelOptions) -> ModelReport {
 /// violation (shrunk to a 1-minimal trace).
 #[must_use]
 pub fn check_scheme(
-    scheme: &'static dyn Scheme,
+    scheme: &'static Scheme,
     progs: &[Program],
     opts: &ModelOptions,
 ) -> SchemeReport {
@@ -821,9 +799,12 @@ pub fn check_scheme(
 }
 
 /// Greedy delta debugging: drop any single step while the same
-/// invariant still fires, iterated to fixpoint (1-minimality).
+/// invariant still fires, iterated to fixpoint (1-minimality). A
+/// run-ahead claim is judged against the epoch body its barriers select,
+/// so a [`RUN_AHEAD_COMMUTES`] trace keeps every barrier: dropping one
+/// would judge the claim against the wrong epoch.
 fn explorer_shrink(
-    scheme: &'static dyn Scheme,
+    scheme: &'static Scheme,
     program: &Program,
     opts: &ModelOptions,
     mut trace: Vec<Step>,
@@ -842,6 +823,10 @@ fn explorer_shrink(
         let mut improved = false;
         let mut i = 0;
         while i < trace.len() {
+            if invariant == RUN_AHEAD_COMMUTES && trace[i] == Step::Boundary {
+                i += 1;
+                continue;
+            }
             let mut candidate = trace.clone();
             candidate.remove(i);
             match fires(&candidate) {
@@ -865,7 +850,7 @@ type Replayed = (EngineStepper, Vec<Option<AccessOutcome>>);
 
 /// Stateless DFS over the interleavings of one (scheme, program) pair.
 struct Explorer<'a> {
-    scheme: &'static dyn Scheme,
+    scheme: &'static Scheme,
     program: &'a Program,
     opts: &'a ModelOptions,
     cfg: EngineConfig,
@@ -882,7 +867,7 @@ struct Explorer<'a> {
 }
 
 impl<'a> Explorer<'a> {
-    fn new(scheme: &'static dyn Scheme, program: &'a Program, opts: &'a ModelOptions) -> Self {
+    fn new(scheme: &'static Scheme, program: &'a Program, opts: &'a ModelOptions) -> Self {
         let cfg = model_config(program.procs);
         Explorer {
             scheme,
@@ -1213,7 +1198,7 @@ impl<'a> Explorer<'a> {
         })
         .map_err(|panic| ("freshness".to_string(), panic))?;
         if let Some(sabotage) = self.opts.sabotage {
-            sabotage(stepper.engine_mut());
+            sabotage.apply(stepper.engine_mut());
         }
         stepper
             .check_accounting()

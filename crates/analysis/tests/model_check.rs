@@ -4,12 +4,10 @@
 //! sabotage hook and assert the checker catches it with a minimal
 //! trace), and snapshots pinning the counterexample renderings.
 
-use tpi::proto::{
-    registry, BaseEngine, CoherenceEngine, DirectoryEngine, HybridEngine, SchemeId, TardisEngine,
-    TpiEngine,
+use tpi::proto::{registry, Sabotage, SchemeId};
+use tpi_analysis::model::{
+    check_schemes, programs, ModelOptions, ModelViolation, Step, RUN_AHEAD_COMMUTES,
 };
-use tpi_analysis::model::{check_schemes, ModelOptions, ModelViolation, Step, RUN_AHEAD_COMMUTES};
-use tpi_mem::WordAddr;
 
 fn tiny() -> ModelOptions {
     ModelOptions {
@@ -23,7 +21,7 @@ fn tiny() -> ModelOptions {
 
 /// Runs one sabotaged sweep over `scheme` and returns the violation the
 /// checker must find.
-fn seeded(scheme: SchemeId, sabotage: fn(&mut dyn CoherenceEngine)) -> ModelViolation {
+fn seeded(scheme: SchemeId, sabotage: Sabotage) -> ModelViolation {
     let opts = ModelOptions {
         sabotage: Some(sabotage),
         ..tiny()
@@ -53,6 +51,30 @@ fn assert_minimal(v: &ModelViolation) {
     );
 }
 
+/// Every access of the trace belongs to its processor's sequence in the
+/// epoch its preceding barriers select, in the named program: the
+/// shrinker kept a schedule the program can run, so a run-ahead claim
+/// was judged against the epoch it was made in.
+fn assert_reachable(v: &ModelViolation) {
+    let (suite, _) = programs(&tiny());
+    let program = suite
+        .iter()
+        .find(|p| p.name == v.program)
+        .unwrap_or_else(|| panic!("no program named {}", v.program));
+    let mut epoch = 0;
+    for step in &v.trace {
+        match *step {
+            Step::Boundary => epoch += 1,
+            Step::Op { proc, access } => assert!(
+                program.epochs[epoch][proc as usize].contains(&access),
+                "{step} is not in p{proc}'s epoch-{epoch} sequence of {}: {:?}",
+                v.program,
+                v.trace
+            ),
+        }
+    }
+}
+
 #[test]
 fn all_schemes_verify_clean() {
     let ids: Vec<SchemeId> = registry::global().all().iter().map(|s| s.id()).collect();
@@ -73,12 +95,7 @@ fn all_schemes_verify_clean() {
 
 #[test]
 fn seeded_tpi_skipped_reset_breaks_phase_discipline() {
-    let v = seeded(SchemeId::TPI, |e| {
-        e.as_any_mut()
-            .downcast_mut::<TpiEngine>()
-            .expect("tpi engine")
-            .debug_skip_resets();
-    });
+    let v = seeded(SchemeId::TPI, Sabotage::TpiSkipResets);
     assert_eq!(v.invariant, "tpi-phase-discipline");
     assert_minimal(&v);
     // The minimal trace must actually cross a phase-reset boundary:
@@ -88,13 +105,9 @@ fn seeded_tpi_skipped_reset_breaks_phase_discipline() {
 
 #[test]
 fn seeded_directory_dropped_sharer_breaks_consistency() {
-    for scheme in [SchemeId::FULL_MAP, SchemeId::LIMITLESS] {
-        let v = seeded(scheme, |e| {
-            e.as_any_mut()
-                .downcast_mut::<DirectoryEngine>()
-                .expect("directory engine")
-                .debug_drop_sharer_bit(0, WordAddr(0));
-        });
+    for sabotage in [Sabotage::FullmapDropSharer, Sabotage::LimitlessDropSharer] {
+        let scheme = sabotage.target();
+        let v = seeded(scheme, sabotage);
         assert_eq!(v.invariant, "dir-consistency", "{scheme}");
         assert_minimal(&v);
     }
@@ -102,24 +115,14 @@ fn seeded_directory_dropped_sharer_breaks_consistency() {
 
 #[test]
 fn seeded_hybrid_dropped_sharer_breaks_mask() {
-    let v = seeded(SchemeId::HYBRID, |e| {
-        e.as_any_mut()
-            .downcast_mut::<HybridEngine>()
-            .expect("hybrid engine")
-            .debug_drop_sharer_bit(0, WordAddr(0));
-    });
+    let v = seeded(SchemeId::HYBRID, Sabotage::HybridDropSharer);
     assert_eq!(v.invariant, "hybrid-sharer-mask");
     assert_minimal(&v);
 }
 
 #[test]
 fn seeded_tardis_rewound_wts_breaks_lease_invariants() {
-    let v = seeded(SchemeId::TARDIS, |e| {
-        e.as_any_mut()
-            .downcast_mut::<TardisEngine>()
-            .expect("tardis engine")
-            .debug_rewind_wts(WordAddr(0));
-    });
+    let v = seeded(SchemeId::TARDIS, Sabotage::TardisRewindWts);
     assert!(
         v.invariant.starts_with("tardis-"),
         "expected a tardis invariant, got {}",
@@ -130,12 +133,7 @@ fn seeded_tardis_rewound_wts_breaks_lease_invariants() {
 
 #[test]
 fn seeded_base_cached_shared_word_is_caught() {
-    let v = seeded(SchemeId::BASE, |e| {
-        e.as_any_mut()
-            .downcast_mut::<BaseEngine>()
-            .expect("base engine")
-            .debug_cache_shared_word(WordAddr(0));
-    });
+    let v = seeded(SchemeId::BASE, Sabotage::BaseCacheShared);
     assert_eq!(v.invariant, "base-no-shared-lines");
     assert_minimal(&v);
 }
@@ -145,14 +143,10 @@ fn seeded_hw_run_ahead_lie_breaks_commutation() {
     // A full-map directory that declares every access commuting: some
     // upgrade and a remote read of its line give different states in the
     // two orders the lie claims are alike.
-    let v = seeded(SchemeId::FULL_MAP, |e| {
-        e.as_any_mut()
-            .downcast_mut::<DirectoryEngine>()
-            .expect("directory engine")
-            .debug_commute_always();
-    });
+    let v = seeded(SchemeId::FULL_MAP, Sabotage::FullmapCommutesAlways);
     assert_eq!(v.invariant, RUN_AHEAD_COMMUTES);
     assert_minimal(&v);
+    assert_reachable(&v);
     // The trace ends in the two accesses whose order the lie ignored.
     let [.., Step::Op { proc: p, .. }, Step::Op { proc: q, .. }] = v.trace[..] else {
         panic!(
@@ -204,14 +198,10 @@ fn seeded_hw_order_insensitivity_lie_breaks_commutation() {
     // A full-map directory that claims order insensitivity: the heap
     // would replay each stream straight through, but some pair of its
     // accesses gives different results in the two orders.
-    let v = seeded(SchemeId::FULL_MAP, |e| {
-        e.as_any_mut()
-            .downcast_mut::<DirectoryEngine>()
-            .expect("directory engine")
-            .debug_claim_order_insensitive();
-    });
+    let v = seeded(SchemeId::FULL_MAP, Sabotage::FullmapClaimsOrderInsensitive);
     assert_eq!(v.invariant, RUN_AHEAD_COMMUTES);
     assert_minimal(&v);
+    assert_reachable(&v);
     let [.., Step::Op { proc: p, .. }, Step::Op { proc: q, .. }] = v.trace[..] else {
         panic!(
             "a run-ahead counterexample ends in two accesses: {:?}",
@@ -226,12 +216,7 @@ fn seeded_hw_order_insensitivity_lie_breaks_commutation() {
 /// tooling parse them, so pin both forms byte for byte.
 #[test]
 fn counterexample_rendering_snapshot() {
-    let v = seeded(SchemeId::BASE, |e| {
-        e.as_any_mut()
-            .downcast_mut::<BaseEngine>()
-            .expect("base engine")
-            .debug_cache_shared_word(WordAddr(0));
-    });
+    let v = seeded(SchemeId::BASE, Sabotage::BaseCacheShared);
     let d = v.diagnostic();
     assert_eq!(
         d.human(),

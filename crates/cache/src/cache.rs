@@ -414,12 +414,6 @@ impl Cache {
             .position(|&i| self.lines[i as usize].addr == addr)
     }
 
-    /// Word offset of `addr` within its line.
-    #[must_use]
-    pub fn word_of(&self, addr: WordAddr) -> u32 {
-        self.cfg.geometry.word_in_line(addr)
-    }
-
     /// Line address containing `addr`.
     #[must_use]
     pub fn line_of(&self, addr: WordAddr) -> LineAddr {

@@ -1,11 +1,11 @@
 //! End-to-end experiment execution: program → marking → trace → timing.
 
 use crate::config::ExperimentConfig;
-use tpi_compiler::{mark_program, MarkingSummary};
+use tpi_compiler::{mark_program, Marking, MarkingSummary};
 use tpi_ir::Program;
 use tpi_proto::build_engine;
 use tpi_sim::{run_trace, verify_accounting, SimResult};
-use tpi_trace::{generate_trace, TraceError, TraceStats};
+use tpi_trace::{generate_trace, Trace, TraceError, TraceStats};
 use tpi_workloads::{Kernel, Scale};
 
 /// Everything one experiment run produced.
@@ -35,17 +35,28 @@ pub fn run_program(
 ) -> Result<ExperimentResult, TraceError> {
     let marking = mark_program(program, &config.compiler_options());
     let trace = generate_trace(program, &marking, &config.trace_options())?;
+    Ok(simulate_cell(config, &trace, &marking))
+}
+
+/// The scheme-dependent tail of the pipeline, shared with the
+/// [`Runner`](crate::Runner): replays `trace` on a fresh engine of
+/// `config`'s scheme and checks its accounting identity.
+pub(crate) fn simulate_cell(
+    config: &ExperimentConfig,
+    trace: &Trace,
+    marking: &Marking,
+) -> ExperimentResult {
     let mut engine = build_engine(
         config.scheme,
         config.engine_config(trace.layout.total_words()),
     );
-    let sim = run_trace(&trace, engine.as_mut(), &config.sim_options());
+    let sim = run_trace(trace, engine.as_mut(), &config.sim_options());
     verify_accounting(&sim).expect("engine accounting identity");
-    Ok(ExperimentResult {
+    ExperimentResult {
         sim,
         marking: marking.summary(),
         trace: trace.stats,
-    })
+    }
 }
 
 /// Runs one of the benchmark kernels under `config`.

@@ -45,15 +45,14 @@
 //! ```
 
 use crate::config::ExperimentConfig;
-use crate::experiment::ExperimentResult;
+use crate::experiment::{simulate_cell, ExperimentResult};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tpi_compiler::{mark_program, CompilerOptions, Marking};
 use tpi_ir::Program;
-use tpi_proto::{build_engine, SchemeId};
-use tpi_sim::{run_trace, verify_accounting};
+use tpi_proto::SchemeId;
 use tpi_trace::{generate_trace, EpochEvents, Trace, TraceError, TraceOptions};
 use tpi_workloads::{Kernel, Scale};
 
@@ -548,39 +547,43 @@ impl Runner {
     /// Returns the first [`TraceError`] in submission order if any cell's
     /// program races under its schedule.
     pub fn prepare(&self, cells: &[RunSpec]) -> Result<Vec<PreparedCell>, TraceError> {
-        if !self.memoize {
-            let prepare_scope = self.prof.scope("prepare");
-            let prepared = parallel_map(self.threads, cells, |cell| {
-                let program = match &cell.source {
-                    ProgramSource::Kernel(k, s) => Arc::new(k.build(*s)),
-                    ProgramSource::Custom { program, .. } => Arc::clone(program),
-                };
-                let marking = Arc::new(mark_program(
-                    program.as_ref(),
-                    &cell.config.compiler_options(),
-                ));
-                let trace = generate_trace(
-                    program.as_ref(),
-                    marking.as_ref(),
-                    &cell.config.trace_options(),
-                )
-                .map(Arc::new)?;
-                self.harvest_trace(&trace);
-                Ok(PreparedCell {
-                    spec: cell.clone(),
-                    program,
-                    marking,
-                    trace,
-                })
-            });
-            prepare_scope.finish();
-            let n = cells.len() as u64;
-            self.stats.programs_built.fetch_add(n, Ordering::Relaxed);
-            self.stats.markings_built.fetch_add(n, Ordering::Relaxed);
-            self.stats.traces_built.fetch_add(n, Ordering::Relaxed);
-            return prepared.into_iter().collect();
+        if self.memoize {
+            return self.build_artifacts(cells);
         }
-        self.build_artifacts(cells)
+        let prepare_scope = self.prof.scope("prepare");
+        let prepared = parallel_map(self.threads, cells, |cell| self.prepare_fresh(cell));
+        prepare_scope.finish();
+        prepared.into_iter().collect()
+    }
+
+    /// Builds, marks and interprets one cell without the artifact cache:
+    /// the pipeline front of [`prepare`](Self::prepare) and
+    /// [`execute_fresh`](Self::execute_fresh) when memoization is off.
+    fn prepare_fresh(&self, cell: &RunSpec) -> Result<PreparedCell, TraceError> {
+        self.stats.programs_built.fetch_add(1, Ordering::Relaxed);
+        self.stats.markings_built.fetch_add(1, Ordering::Relaxed);
+        self.stats.traces_built.fetch_add(1, Ordering::Relaxed);
+        let program = match &cell.source {
+            ProgramSource::Kernel(k, s) => Arc::new(k.build(*s)),
+            ProgramSource::Custom { program, .. } => Arc::clone(program),
+        };
+        let marking = Arc::new(mark_program(
+            program.as_ref(),
+            &cell.config.compiler_options(),
+        ));
+        let trace = generate_trace(
+            program.as_ref(),
+            marking.as_ref(),
+            &cell.config.trace_options(),
+        )
+        .map(Arc::new)?;
+        self.harvest_trace(&trace);
+        Ok(PreparedCell {
+            spec: cell.clone(),
+            program,
+            marking,
+            trace,
+        })
     }
 
     /// Phases 1–3 of [`execute`](Self::execute): fills the artifact store
@@ -785,49 +788,18 @@ impl Runner {
     fn execute_fresh(&self, cells: &[RunSpec]) -> Result<Vec<ExperimentResult>, TraceError> {
         let fresh_scope = self.prof.scope("fresh");
         let results = parallel_map(self.threads, cells, |cell| {
-            let program = match &cell.source {
-                ProgramSource::Kernel(k, s) => Arc::new(k.build(*s)),
-                ProgramSource::Custom { program, .. } => Arc::clone(program),
-            };
-            let marking = mark_program(program.as_ref(), &cell.config.compiler_options());
-            let trace = generate_trace(program.as_ref(), &marking, &cell.config.trace_options())?;
-            self.harvest_trace(&trace);
-            Ok(simulate_cell(&cell.config, &trace, &marking))
+            let cell = self.prepare_fresh(cell)?;
+            Ok(simulate_cell(&cell.spec.config, &cell.trace, &cell.marking))
         });
         fresh_scope.finish();
         for r in results.iter().filter_map(|r| r.as_ref().ok()) {
             self.harvest_sim(&r.sim);
         }
         self.stats
-            .programs_built
-            .fetch_add(cells.len() as u64, Ordering::Relaxed);
-        self.stats
-            .markings_built
-            .fetch_add(cells.len() as u64, Ordering::Relaxed);
-        self.stats
-            .traces_built
-            .fetch_add(cells.len() as u64, Ordering::Relaxed);
-        self.stats
             .cells_simulated
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
         // First error in submission order, as in the memoized path.
         results.into_iter().collect()
-    }
-}
-
-/// The scheme-dependent tail of the pipeline; bit-identical to what
-/// [`crate::run_program`] does after trace generation.
-fn simulate_cell(config: &ExperimentConfig, trace: &Trace, marking: &Marking) -> ExperimentResult {
-    let mut engine = build_engine(
-        config.scheme,
-        config.engine_config(trace.layout.total_words()),
-    );
-    let sim = run_trace(trace, engine.as_mut(), &config.sim_options());
-    verify_accounting(&sim).expect("engine accounting identity");
-    ExperimentResult {
-        sim,
-        marking: marking.summary(),
-        trace: trace.stats,
     }
 }
 

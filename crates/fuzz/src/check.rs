@@ -23,10 +23,11 @@
 //! 6. **Invariant** — the scheme's own structural invariants (the model
 //!    checker's catalog: directory bookkeeping, timetag ranges, lease
 //!    ordering) must hold on the post-run engine.
-//! 7. **Agreement** — mark-ignoring schemes (`SchemeCaps::uses_compiler_marks`
-//!    false) must produce cycle-identical results at Naive and Full
-//!    (only the marks differ between those traces), and every scheme
-//!    must agree on the trace-determined read/write totals.
+//! 7. **Agreement** — mark-ignoring schemes (whose
+//!    [`tpi::proto::Scheme::uses_compiler_marks`] is false) must produce
+//!    cycle-identical results at Naive and Full (only the marks differ
+//!    between those traces), and every scheme must agree on the
+//!    trace-determined read/write totals.
 //! 8. **Replay** — [`run_trace`] and the min-clock reference
 //!    [`run_trace_reference`] must produce identical results: every
 //!    [`SimResult`] field but host time. This is what holds each engine's
@@ -42,10 +43,7 @@ use std::sync::Arc;
 use crate::gen::{generate_kernel, GenKernel, GenOptions};
 use crate::minimize::minimize;
 use tpi::mem::WordAddr;
-use tpi::proto::{
-    build_engine, registry, BaseEngine, CoherenceEngine, DirectoryEngine, HybridEngine, SchemeId,
-    TardisEngine, TpiEngine,
-};
+use tpi::proto::{build_engine, registry, CoherenceEngine, Sabotage, SchemeId};
 use tpi::runner::{ProgramSource, RunSpec};
 use tpi::sim::{run_trace, run_trace_reference, verify_accounting, SimResult};
 use tpi::trace::SchedulePolicy;
@@ -121,135 +119,6 @@ impl ViolationClass {
             ViolationClass::Invariant => "invariant",
             ViolationClass::Agreement => "agreement",
             ViolationClass::Replay => "replay",
-        }
-    }
-}
-
-/// A named way of hand-breaking a live engine mid-run (applied at every
-/// epoch boundary), reusing the debug hooks the model checker's
-/// self-tests use. Fuzzing with a sabotaged engine must produce
-/// violations — that is the harness's own test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sabotage {
-    /// TPI stops performing two-phase timetag resets.
-    TpiSkipResets,
-    /// The full-map directory forgets processor 0's sharer bit for word 0.
-    FullmapDropSharer,
-    /// The LimitLESS directory forgets the same sharer bit.
-    LimitlessDropSharer,
-    /// BASE illegally caches shared word 0.
-    BaseCacheShared,
-    /// The hybrid directory forgets processor 0's sharer bit for word 0.
-    HybridDropSharer,
-    /// Tardis rewinds word 0's write timestamp.
-    TardisRewindWts,
-    /// The full-map directory claims to be order-insensitive, so the heap
-    /// replay runs each stream straight through although its sharer state
-    /// is order-sensitive.
-    FullmapClaimsOrderInsensitive,
-    /// The full-map directory declares every access commuting, so the heap
-    /// replay lets each processor run ahead past the directory state
-    /// others depend on.
-    FullmapCommutesAlways,
-}
-
-impl Sabotage {
-    /// Every hook, in a stable order.
-    pub const ALL: [Sabotage; 8] = [
-        Sabotage::TpiSkipResets,
-        Sabotage::FullmapDropSharer,
-        Sabotage::LimitlessDropSharer,
-        Sabotage::BaseCacheShared,
-        Sabotage::HybridDropSharer,
-        Sabotage::TardisRewindWts,
-        Sabotage::FullmapClaimsOrderInsensitive,
-        Sabotage::FullmapCommutesAlways,
-    ];
-
-    /// Stable name (accepted by `tpi-fuzz --sabotage`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Sabotage::TpiSkipResets => "tpi-skip-resets",
-            Sabotage::FullmapDropSharer => "hw-drop-sharer",
-            Sabotage::LimitlessDropSharer => "ll-drop-sharer",
-            Sabotage::BaseCacheShared => "base-cache-shared",
-            Sabotage::HybridDropSharer => "hybrid-drop-sharer",
-            Sabotage::TardisRewindWts => "tardis-rewind-wts",
-            Sabotage::FullmapClaimsOrderInsensitive => "hw-claims-order-insensitive",
-            Sabotage::FullmapCommutesAlways => "hw-commutes-always",
-        }
-    }
-
-    /// The scheme whose engine this hook breaks.
-    #[must_use]
-    pub fn target(self) -> SchemeId {
-        match self {
-            Sabotage::TpiSkipResets => SchemeId::TPI,
-            Sabotage::FullmapDropSharer
-            | Sabotage::FullmapClaimsOrderInsensitive
-            | Sabotage::FullmapCommutesAlways => SchemeId::FULL_MAP,
-            Sabotage::LimitlessDropSharer => SchemeId::LIMITLESS,
-            Sabotage::BaseCacheShared => SchemeId::BASE,
-            Sabotage::HybridDropSharer => SchemeId::HYBRID,
-            Sabotage::TardisRewindWts => SchemeId::TARDIS,
-        }
-    }
-
-    /// Resolves a hook by its stable name.
-    ///
-    /// # Errors
-    ///
-    /// Returns the list of known hook names.
-    pub fn parse(name: &str) -> Result<Sabotage, String> {
-        Sabotage::ALL
-            .into_iter()
-            .find(|s| s.label() == name)
-            .ok_or_else(|| {
-                let known: Vec<&str> = Sabotage::ALL.into_iter().map(Sabotage::label).collect();
-                format!("unknown sabotage {name:?} (known: {})", known.join(", "))
-            })
-    }
-
-    /// Breaks `engine` in place (no-op if it is not the targeted type).
-    pub fn apply(self, engine: &mut dyn CoherenceEngine) {
-        let any = engine.as_any_mut();
-        match self {
-            Sabotage::TpiSkipResets => {
-                if let Some(e) = any.downcast_mut::<TpiEngine>() {
-                    e.debug_skip_resets();
-                }
-            }
-            Sabotage::FullmapDropSharer | Sabotage::LimitlessDropSharer => {
-                if let Some(e) = any.downcast_mut::<DirectoryEngine>() {
-                    e.debug_drop_sharer_bit(0, WordAddr(0));
-                }
-            }
-            Sabotage::BaseCacheShared => {
-                if let Some(e) = any.downcast_mut::<BaseEngine>() {
-                    e.debug_cache_shared_word(WordAddr(0));
-                }
-            }
-            Sabotage::HybridDropSharer => {
-                if let Some(e) = any.downcast_mut::<HybridEngine>() {
-                    e.debug_drop_sharer_bit(0, WordAddr(0));
-                }
-            }
-            Sabotage::TardisRewindWts => {
-                if let Some(e) = any.downcast_mut::<TardisEngine>() {
-                    e.debug_rewind_wts(WordAddr(0));
-                }
-            }
-            Sabotage::FullmapClaimsOrderInsensitive => {
-                if let Some(e) = any.downcast_mut::<DirectoryEngine>() {
-                    e.debug_claim_order_insensitive();
-                }
-            }
-            Sabotage::FullmapCommutesAlways => {
-                if let Some(e) = any.downcast_mut::<DirectoryEngine>() {
-                    e.debug_commute_always();
-                }
-            }
         }
     }
 }
@@ -511,22 +380,10 @@ impl Fingerprint {
     }
 }
 
-fn scheme_caps(scheme: SchemeId) -> tpi::proto::SchemeCaps {
+fn scheme_row(id: SchemeId) -> &'static tpi::proto::Scheme {
     registry::global()
-        .all()
-        .iter()
-        .find(|s| s.id() == scheme)
+        .get(id)
         .expect("scheme came from the registry")
-        .caps()
-}
-
-fn scheme_invariants(scheme: SchemeId) -> Vec<tpi::proto::ModelInvariant> {
-    registry::global()
-        .all()
-        .iter()
-        .find(|s| s.id() == scheme)
-        .expect("scheme came from the registry")
-        .model_invariants()
 }
 
 /// The first field in which two replays of one trace differ (host time
@@ -692,7 +549,7 @@ fn check_program(
                     }
                     // Structural invariants on the post-run engine: the
                     // same catalog the model checker applies per step.
-                    for inv in scheme_invariants(scheme) {
+                    for inv in scheme_row(scheme).model_invariants() {
                         if let Err(broken) = (inv.check)(engine.as_ref()) {
                             out.push(RawViolation {
                                 class: ViolationClass::Invariant,
@@ -721,7 +578,7 @@ fn check_program(
     // 6a. Mark-ignoring schemes must be level-invariant: the Naive and
     // Full traces differ only in the compiler marks.
     for &scheme in schemes {
-        if scheme_caps(scheme).uses_compiler_marks {
+        if scheme_row(scheme).uses_compiler_marks() {
             continue;
         }
         let per_level: Vec<&Fingerprint> = levels
@@ -934,5 +791,20 @@ mod tests {
             SchemeId::FULL_MAP,
             Sabotage::FullmapClaimsOrderInsensitive
         ));
+    }
+
+    #[test]
+    fn invariants_reach_the_engine_a_sabotage_wraps() {
+        // A hook that is a no-op on the directory leaves a healthy engine
+        // inside the wrapper, so every HW invariant must pass on it. Without
+        // `as_any` forwarding each one fails its downcast instead, and the
+        // fuzzer would count that as a caught `class=invariant`.
+        let inner = build_engine(SchemeId::FULL_MAP, EngineConfig::paper_default(64));
+        let wrapped = SabotagedEngine::new(inner, Sabotage::TpiSkipResets);
+        let invariants = scheme_row(SchemeId::FULL_MAP).model_invariants();
+        assert!(!invariants.is_empty());
+        for inv in invariants {
+            (inv.check)(&wrapped).unwrap_or_else(|e| panic!("{}: {e}", inv.name));
+        }
     }
 }

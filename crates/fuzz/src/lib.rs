@@ -11,7 +11,7 @@
 //! lints, trace generation at two optimization levels, the staleness
 //! oracle in both TPI and SC semantics, freshness-verified simulation under
 //! every registry scheme, the miss-accounting identity, and
-//! registry-capability-driven cross-scheme/cross-level agreement.
+//! cross-scheme/cross-level agreement driven by the scheme table.
 //!
 //! Violating kernels shrink to 1-minimal `.tpi` reproducers
 //! ([`minimize()`]) and surface as stable `TPI902 fuzz-violation`
@@ -33,7 +33,9 @@ pub mod minimize;
 
 pub use check::{
     check_kernel, fuzz_config, run_fuzz, violates, FuzzOptions, FuzzReport, FuzzViolation,
-    Sabotage, ViolationClass,
+    ViolationClass,
 };
 pub use gen::{generate_kernel, GenKernel, GenOptions};
 pub use minimize::minimize;
+/// The sabotage catalogue `--sabotage` names, shared with `tpi-model`.
+pub use tpi::proto::Sabotage;

@@ -300,14 +300,6 @@ impl CoherenceEngine for DirectoryEngine {
         self.name
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn read(
         &mut self,
         proc: ProcId,

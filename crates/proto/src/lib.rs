@@ -1,7 +1,7 @@
 //! Coherence schemes for the TPI study: BASE, SC, TPI, and directory
 //! protocols (full-map and LimitLess), behind one [`CoherenceEngine`]
-//! interface. Schemes are resolved by [`SchemeId`] through the pluggable
-//! [`registry`].
+//! interface. Schemes are resolved by [`SchemeId`] through the static
+//! scheme table in [`registry`].
 //!
 //! The four main schemes reproduce Section 4.2 of the paper:
 //!
@@ -51,9 +51,9 @@ pub use base::BaseEngine;
 pub use fullmap::DirectoryEngine;
 pub use hybrid::HybridEngine;
 pub use ideal::IdealEngine;
-pub use invariant::ModelInvariant;
+pub use invariant::{ModelInvariant, Sabotage};
 pub use refs::EpochRefs;
-pub use registry::{RegistryError, Scheme, SchemeCaps, SchemeId, SchemeRegistry};
+pub use registry::{RegistryError, Scheme, SchemeId};
 pub use sc::ScEngine;
 pub use stats::{EngineStats, MissClass, ProcStats};
 pub use tardis::TardisEngine;
@@ -233,20 +233,26 @@ impl AccessOutcome {
 /// `Debug` is a supertrait so model-checking tooling can fingerprint the
 /// complete protocol state; all engines derive it. `Send` is a supertrait
 /// so an engine can move to the thread that replays it; engines are plain
-/// data and satisfy it structurally.
-pub trait CoherenceEngine: std::fmt::Debug + Send {
+/// data and satisfy it structurally. [`AnyEngine`] is a supertrait so
+/// [`CoherenceEngine::as_any`] needs no body in an engine.
+pub trait CoherenceEngine: std::fmt::Debug + Send + AnyEngine {
     /// Scheme label for reports.
     fn name(&self) -> &'static str;
 
     /// The concrete engine as [`std::any::Any`], so scheme-specific
     /// tooling (the [`invariant`] checks of `tpi-model`) can downcast a
-    /// boxed engine back to its real type. Implementations return `self`.
-    fn as_any(&self) -> &dyn std::any::Any;
+    /// boxed engine back to its real type. Wrapping engines must forward
+    /// it to the engine they wrap.
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.any_ref()
+    }
 
-    /// Mutable [`std::any::Any`] access, for the `tpi-model` sabotage
-    /// hooks that hand-break a live engine to prove the checker catches
-    /// each invariant. Implementations return `self`.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+    /// Mutable [`std::any::Any`] access, for the [`invariant::Sabotage`]
+    /// hooks that hand-break a live engine to prove the checkers catch
+    /// each invariant. Wrapping engines must forward it.
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self.any_mut()
+    }
 
     /// Processes a load by `proc` at local time `now`. `version` is the
     /// value generation the load must observe (simulation shadow state).
@@ -359,6 +365,28 @@ pub trait CoherenceEngine: std::fmt::Debug + Send {
     /// it.
     fn commutes(&self, _proc: ProcId, _addr: WordAddr, _write: bool, _refs: &EpochRefs) -> bool {
         false
+    }
+}
+
+/// Upcasts any `'static` value to [`std::any::Any`]: the provided bodies
+/// of [`CoherenceEngine::as_any`] and [`CoherenceEngine::as_any_mut`].
+///
+/// The blanket impl covers `Box<dyn CoherenceEngine>` too, where it
+/// upcasts the box rather than the engine, so never call these methods
+/// on a box; call `as_any` instead.
+pub trait AnyEngine: std::any::Any {
+    /// `self` as [`std::any::Any`].
+    fn any_ref(&self) -> &dyn std::any::Any;
+    /// `self` as mutable [`std::any::Any`].
+    fn any_mut(&mut self) -> &mut dyn std::any::Any;
+}
+
+impl<T: std::any::Any> AnyEngine for T {
+    fn any_ref(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
     }
 }
 

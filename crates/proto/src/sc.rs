@@ -92,14 +92,6 @@ impl CoherenceEngine for ScEngine {
         "SC"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn read(
         &mut self,
         proc: ProcId,

@@ -27,7 +27,7 @@ use crate::pool::{
     CellError, CellOutcome, CellPlan, CellStore, FlightSlot, WorkerPool, DEFAULT_MEMORY_CELLS,
 };
 use crate::service::{Handler, Response, Service};
-use crate::wire::{error_body, render_cell_error, BadRequest, CellKey, GridRequest};
+use crate::wire::{error_body, render_cell_error, BadRequest, GridRequest};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -212,13 +212,6 @@ impl Server {
     #[must_use]
     pub fn inflight_cells(&self) -> usize {
         self.shared.store.inflight_cells()
-    }
-
-    /// A snapshot of the completed-result cache, for out-of-band
-    /// verification against a fresh serial [`Runner`].
-    #[must_use]
-    pub fn cell_snapshot(&self) -> Vec<(CellKey, Arc<CellOutcome>)> {
-        self.shared.store.snapshot()
     }
 
     /// A handle on the cell store that outlives [`Server::shutdown`] —
