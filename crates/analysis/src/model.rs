@@ -21,9 +21,11 @@
 //!
 //! # Exploration
 //!
-//! Engines are deliberately not `Clone`, so the search is *stateless*
-//! (in the VeriSoft sense): every prefix is re-executed from a fresh
-//! [`EngineStepper`]. Two reductions keep the bounded state space small:
+//! The search is *stateful*: a node holds an [`EngineStepper`] (a deep
+//! copy of the engine and its ground truth), the epoch and each
+//! processor's position, and each enabled step is applied once, to a copy
+//! of its parent's node. Two reductions keep the bounded state space
+//! small:
 //!
 //! * **visited-state hashing** — a node is identified by the engine
 //!   fingerprint plus the program position and the sleep set; revisits
@@ -47,27 +49,31 @@
 //!
 //! The heap replay of `tpi-sim` lets a processor issue an access ahead of
 //! processors with smaller clocks when the engine declares that it
-//! commutes with the rest of its epoch ([`CoherenceEngine::commutes`]).
+//! commutes with the rest of its epoch
+//! ([`CoherenceEngine::commutes`](tpi::proto::CoherenceEngine::commutes)).
 //! At every explored state the checker holds each engine to that claim:
 //! for every enabled access `a` the engine declares commuting (the table
 //! built from the program's current epoch) and every enabled access `b`
 //! of another processor, `a` then `b` and `b` then `a` must give equal
 //! outcomes and equal fingerprints, and `a` must still commute after `b`.
 //! A broken claim is reported as the invariant `run-ahead-commutes`, its
-//! trace the state's prefix followed by `a` and `b`. The check replays
-//! more schedules but visits no new state, so state counts are unchanged.
+//! trace the state's prefix followed by `a` and `b`. The check steps the
+//! state's two children once more each (`b` after `a`, `a` after `b`) but
+//! visits no new state, so state counts are unchanged.
 //!
-//! An engine that claims [`CoherenceEngine::order_insensitive`] declares
-//! every access commuting in an epoch without critical accesses, and the
-//! checker holds it to that claim the same way. The simulator's heap
-//! replays only sync-free epochs, and critical accesses occur only in
+//! An engine that claims
+//! [`CoherenceEngine::order_insensitive`](tpi::proto::CoherenceEngine::order_insensitive)
+//! declares every access commuting in an epoch without critical accesses,
+//! and the checker holds it to that claim the same way. The simulator's
+//! heap replays only sync-free epochs, and critical accesses occur only in
 //! lock epochs, which take the min-clock scan; so those are the epochs
 //! whose interleavings the claim must not change.
 //!
 //! Counterexamples are shrunk to a 1-minimal interleaving by greedy
 //! delta debugging (drop any single step while the same invariant still
 //! fires, to fixpoint; a run-ahead counterexample keeps its barriers) and
-//! reported as [`Code::Tpi901`] diagnostics.
+//! reported as [`Code::Tpi901`] diagnostics. The shrinker's candidates are
+//! arbitrary traces, so it alone replays each from a fresh engine.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -75,9 +81,7 @@ use std::hash::{Hash, Hasher};
 
 use tpi::cache::CacheConfig;
 use tpi::proto::registry::{self, Scheme};
-use tpi::proto::{
-    AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs, ModelInvariant, Sabotage, SchemeId,
-};
+use tpi::proto::{AccessOutcome, EngineConfig, EpochRefs, ModelInvariant, Sabotage, SchemeId};
 use tpi::{catch_cell_panic, EngineStepper};
 use tpi_mem::{LineGeometry, ProcId, WordAddr};
 use tpi_testkit::exhaustive;
@@ -207,6 +211,17 @@ pub enum Step {
     },
     /// All processors cross the epoch barrier.
     Boundary,
+}
+
+impl Step {
+    /// The issuing processor and the access of an `Op`; `None` for the
+    /// barrier.
+    fn op(self) -> Option<(u32, Access)> {
+        match self {
+            Step::Op { proc, access } => Some((proc, access)),
+            Step::Boundary => None,
+        }
+    }
 }
 
 impl fmt::Display for Step {
@@ -813,11 +828,24 @@ fn explorer_shrink(
 ) -> (Vec<Step>, String) {
     let explorer = Explorer::new(scheme, program, opts);
     let fires = |candidate: &[Step]| {
-        if invariant == RUN_AHEAD_COMMUTES {
-            explorer.check_claim(candidate)
-        } else {
-            explorer.run(candidate).map(drop)
+        if invariant != RUN_AHEAD_COMMUTES {
+            return explorer.run(candidate).map(drop);
         }
+        // A claim trace is a prefix, then `a`, then `b` of another
+        // processor, judged at the state the prefix reaches.
+        let [prefix @ .., a, b] = candidate else {
+            return Ok(());
+        };
+        let Ok(before) = explorer.run(prefix) else {
+            return Ok(());
+        };
+        if !explorer.declares_commuting(&before, *a, *b) {
+            return Ok(());
+        }
+        explorer.check_claim(
+            (*a, &explorer.step(before.clone(), *a)),
+            (*b, &explorer.step(before, *b)),
+        )
     };
     loop {
         let mut improved = false;
@@ -844,11 +872,21 @@ fn explorer_shrink(
     }
 }
 
-/// A replayed stepper and the outcomes of the steps replayed last (an
-/// access's outcome; `None` for a barrier).
-type Replayed = (EngineStepper, Vec<Option<AccessOutcome>>);
+/// One search state: the stepper after the path that reached it, the
+/// epoch it is in and each processor's position in that epoch's body.
+#[derive(Clone)]
+struct Node {
+    stepper: EngineStepper,
+    epoch: usize,
+    pos: Vec<usize>,
+}
 
-/// Stateless DFS over the interleavings of one (scheme, program) pair.
+/// A step applied to a node: the child and the step's outcome (an
+/// access's; `None` for a barrier), or the first `(invariant, message)`
+/// violation.
+type Stepped = Result<(Node, Option<AccessOutcome>), (String, String)>;
+
+/// Stateful DFS over the interleavings of one (scheme, program) pair.
 struct Explorer<'a> {
     scheme: &'static Scheme,
     program: &'a Program,
@@ -885,32 +923,39 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    fn explore(&mut self) {
-        let mut path = Vec::new();
-        let mut pos = vec![0usize; self.program.procs as usize];
-        let root = EngineStepper::new(self.scheme.id(), self.cfg.clone());
-        match self.check_claims(&root, &path, 0, &pos) {
-            Err(found) => self.violation = Some(found),
-            Ok(()) => self.dfs(&mut path, 0, &mut pos, &[]),
+    /// The state before the first step: a fresh engine at the head of
+    /// every processor's first sequence.
+    fn root(&self) -> Node {
+        Node {
+            stepper: EngineStepper::new(self.scheme.id(), self.cfg.clone()),
+            epoch: 0,
+            pos: vec![0; self.program.procs as usize],
         }
+    }
+
+    fn explore(&mut self) {
+        let root = self.root();
+        self.dfs(&mut Vec::new(), &root, &[]);
     }
 
     fn stop(&self) -> bool {
         self.violation.is_some() || self.truncated
     }
 
-    fn dfs(&mut self, path: &mut Vec<Step>, epoch: usize, pos: &mut Vec<usize>, sleep: &[Step]) {
+    /// Explores the subtree of `node`, reached by `path`: checks its
+    /// run-ahead claims, then descends into each enabled step that is
+    /// not asleep.
+    fn dfs(&mut self, path: &mut Vec<Step>, node: &Node, sleep: &[Step]) {
         if self.stop() {
             return;
         }
-        if epoch == self.program.epochs.len() {
+        let Some(body) = self.program.epochs.get(node.epoch) else {
             self.schedules += 1;
             return;
-        }
-        let body = &self.program.epochs[epoch];
-        let mut enabled: Vec<Step> = (0..pos.len())
+        };
+        let mut enabled: Vec<Step> = (0..node.pos.len())
             .filter_map(|p| {
-                body[p].get(pos[p]).map(|&access| Step::Op {
+                body[p].get(node.pos[p]).map(|&access| Step::Op {
                     proc: p as u32,
                     access,
                 })
@@ -919,32 +964,27 @@ impl<'a> Explorer<'a> {
         if enabled.is_empty() {
             enabled.push(Step::Boundary);
         }
+        // Each enabled step is applied once, to a copy of this node; the
+        // claims and the descent share the children.
+        let children: Vec<(Step, Stepped)> = enabled
+            .into_iter()
+            .map(|t| (t, self.step(node.clone(), t)))
+            .collect();
+        if let Err(found) = self.check_claims(path, node, &children) {
+            self.violation = Some(found);
+            return;
+        }
         let mut sleeping = sleep.to_vec();
-        for t in enabled {
+        for (t, child) in children {
             if sleeping.contains(&t) {
                 continue;
             }
             path.push(t);
-            match self.run(path) {
+            match child {
                 Err((invariant, message)) => {
                     self.violation = Some((path.clone(), invariant, message));
-                    path.pop();
-                    return;
                 }
-                Ok(stepper) => {
-                    let (child_epoch, advanced) = match t {
-                        Step::Boundary => (epoch + 1, None),
-                        Step::Op { proc, .. } => (epoch, Some(proc as usize)),
-                    };
-                    // The barrier starts every processor at the head of
-                    // the next epoch's sequence.
-                    let before = match advanced {
-                        Some(p) => {
-                            pos[p] += 1;
-                            None
-                        }
-                        None => Some(std::mem::replace(pos, vec![0; pos.len()])),
-                    };
+                Ok((child, _)) => {
                     // A transition sleeps in the child only while it
                     // stays independent of what just executed; the
                     // barrier is dependent with everything.
@@ -953,15 +993,8 @@ impl<'a> Explorer<'a> {
                         .filter(|&&u| self.independent(u, t))
                         .copied()
                         .collect();
-                    if self.visit(&stepper, child_epoch, pos, &child_sleep) {
-                        match self.check_claims(&stepper, path, child_epoch, pos) {
-                            Err(found) => self.violation = Some(found),
-                            Ok(()) => self.dfs(path, child_epoch, pos, &child_sleep),
-                        }
-                    }
-                    match before {
-                        Some(before) => *pos = before,
-                        None => pos[advanced.expect("an access advanced")] -= 1,
+                    if self.visit(&child, &child_sleep) {
+                        self.dfs(path, &child, &child_sleep);
                     }
                 }
             }
@@ -975,17 +1008,11 @@ impl<'a> Explorer<'a> {
 
     /// Records a node; returns whether it is new (explore it) and
     /// enforces the state budget.
-    fn visit(
-        &mut self,
-        stepper: &EngineStepper,
-        epoch: usize,
-        pos: &[usize],
-        sleep: &[Step],
-    ) -> bool {
+    fn visit(&mut self, node: &Node, sleep: &[Step]) -> bool {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        stepper.fingerprint().hash(&mut h);
-        epoch.hash(&mut h);
-        pos.hash(&mut h);
+        node.stepper.fingerprint().hash(&mut h);
+        node.epoch.hash(&mut h);
+        node.pos.hash(&mut h);
         let mut key_sleep = sleep.to_vec();
         key_sleep.sort();
         key_sleep.hash(&mut h);
@@ -1005,17 +1032,10 @@ impl<'a> Explorer<'a> {
     /// eviction and line-grained directory/update state even across
     /// words); the barrier commutes with nothing.
     fn independent(&self, a: Step, b: Step) -> bool {
-        match (a, b) {
-            (
-                Step::Op {
-                    proc: pa,
-                    access: aa,
-                },
-                Step::Op {
-                    proc: pb,
-                    access: ab,
-                },
-            ) => pa != pb && self.set_of(aa.word) != self.set_of(ab.word),
+        match (a.op(), b.op()) {
+            (Some((pa, aa)), Some((pb, ab))) => {
+                pa != pb && self.set_of(aa.word) != self.set_of(ab.word)
+            }
             _ => false,
         }
     }
@@ -1025,62 +1045,49 @@ impl<'a> Explorer<'a> {
         (line.0 % self.num_sets as u64) as usize
     }
 
-    /// Checks the engine's run-ahead claims at the state `stepper` holds
-    /// (reached by `path`, in `epoch`, at program positions `pos`): every
-    /// ordered pair of enabled accesses of two processors whose first the
-    /// engine declares commuting. Returns the first broken claim as
-    /// `(trace, invariant, message)`.
+    /// Checks the engine's run-ahead claims at `node` (reached by `path`),
+    /// whose enabled steps lead to `children`: every ordered pair of
+    /// enabled steps that [`Explorer::declares_commuting`] admits. Returns
+    /// the first broken claim as `(trace, invariant, message)`.
     fn check_claims(
         &mut self,
-        stepper: &EngineStepper,
         path: &[Step],
-        epoch: usize,
-        pos: &[usize],
+        node: &Node,
+        children: &[(Step, Stepped)],
     ) -> Result<(), (Vec<Step>, String, String)> {
-        let Some(body) = self.program.epochs.get(epoch) else {
-            return Ok(());
-        };
-        let enabled: Vec<(u32, Access)> = (0..pos.len())
-            .filter_map(|p| body[p].get(pos[p]).map(|&a| (p as u32, a)))
-            .collect();
-        for &(p, a) in &enabled {
-            for &(q, b) in &enabled {
-                if p == q || !self.declares_commuting(stepper.engine(), epoch, (p, a), (q, b)) {
+        for (a, after_a) in children {
+            for (b, after_b) in children {
+                if !self.declares_commuting(node, *a, *b) {
                     continue;
                 }
                 self.claims += 1;
-                let mut steps = path.to_vec();
-                steps.push(Step::Op { proc: p, access: a });
-                steps.push(Step::Op { proc: q, access: b });
-                self.check_claim(&steps)
-                    .map_err(|(invariant, message)| (steps, invariant, message))?;
+                if let Err((invariant, message)) = self.check_claim((*a, after_a), (*b, after_b)) {
+                    let mut trace = path.to_vec();
+                    trace.extend([*a, *b]);
+                    return Err((trace, invariant, message));
+                }
             }
         }
         Ok(())
     }
 
-    /// For `steps` = a prefix, then `a`, then `b` of another processor:
-    /// if the engine after the prefix declares `a` commuting, `a` then `b`
-    /// and `b` then `a` must agree on both outcomes and on the final
-    /// fingerprint, and `a` must still commute after `b`. A replay that
-    /// breaks another invariant is left to the exploration proper.
-    fn check_claim(&self, steps: &[Step]) -> Result<(), (String, String)> {
-        let [prefix @ .., step_a @ Step::Op { proc: p, access: a }, step_b @ Step::Op { proc: q, access: b }] =
-            steps
-        else {
+    /// For accesses `a` and `b` of two processors, the first declared
+    /// commuting at their common parent, given that parent's children
+    /// after each: `a` then `b` and `b` then `a` must agree on both
+    /// outcomes and on the final fingerprint, and `a` must still commute
+    /// after `b`. A step that breaks another invariant is left to the
+    /// exploration proper.
+    fn check_claim(
+        &self,
+        (step_a, after_a): (Step, &Stepped),
+        (step_b, after_b): (Step, &Stepped),
+    ) -> Result<(), (String, String)> {
+        let (Ok((after_a, a_first)), Ok((after_b, b_first))) = (after_a, after_b) else {
             return Ok(());
         };
-        let (step_a, step_b, pa, pb) = (*step_a, *step_b, (*p, *a), (*q, *b));
-        let epoch = prefix.iter().filter(|&&s| s == Step::Boundary).count();
-        let Ok((before, _)) = self.replay(prefix, &[]) else {
-            return Ok(());
-        };
-        if p == q || !self.declares_commuting(before.engine(), epoch, pa, pb) {
-            return Ok(());
-        }
-        let (Ok((ab, ab_out)), Ok((ba, ba_out))) = (
-            self.replay(prefix, &[step_a, step_b]),
-            self.replay(prefix, &[step_b, step_a]),
+        let (Ok((ab, b_second)), Ok((ba, a_second))) = (
+            self.step(after_a.clone(), step_b),
+            self.step(after_b.clone(), step_a),
         ) else {
             return Ok(());
         };
@@ -1090,46 +1097,45 @@ impl<'a> Explorer<'a> {
                 format!("{step_a} is declared commuting, but {what}"),
             ))
         };
-        if ab_out[0] != ba_out[1] || ab_out[1] != ba_out[0] {
+        if *a_first != a_second || b_second != *b_first {
             return broken(format!(
-                "its outcome is {:?} before and {:?} after {step_b}, whose outcome is {:?} and {:?}",
-                ab_out[0], ba_out[1], ab_out[1], ba_out[0]
+                "its outcome is {a_first:?} before and {a_second:?} after {step_b}, whose outcome is {b_second:?} and {b_first:?}"
             ));
         }
-        if ab.fingerprint() != ba.fingerprint() {
+        if ab.stepper.fingerprint() != ba.stepper.fingerprint() {
             return broken(format!(
                 "issued before and after {step_b} it leaves different states"
             ));
         }
-        if let Ok((after_b, _)) = self.replay(prefix, &[step_b]) {
-            if !self.declares_commuting(after_b.engine(), epoch, pa, pb) {
-                return broken(format!("not after {step_b}"));
-            }
+        if !self.declares_commuting(after_b, step_a, step_b) {
+            return broken(format!("not after {step_b}"));
         }
         Ok(())
     }
 
-    /// Whether `engine` declares `a` commuting in `epoch`, whose table
+    /// Whether `a` and `b` are accesses of two processors and the engine
+    /// at `node` declares `a` commuting in the node's epoch, whose table
     /// records the program's accesses of that epoch plus `a` and `b`. An
     /// order-insensitive engine claims every access of an epoch without
     /// critical accesses: the heap replays only sync-free epochs.
-    fn declares_commuting(
-        &self,
-        engine: &dyn CoherenceEngine,
-        epoch: usize,
-        a: (u32, Access),
-        b: (u32, Access),
-    ) -> bool {
+    fn declares_commuting(&self, node: &Node, a: Step, b: Step) -> bool {
+        let (Some((p, x)), Some((q, _))) = (a.op(), b.op()) else {
+            return false;
+        };
+        if p == q {
+            return false;
+        }
+        let engine = node.stepper.engine();
         let body = self
             .program
             .epochs
-            .get(epoch)
+            .get(node.epoch)
             .map_or(&[][..], Vec::as_slice);
         if engine.order_insensitive() {
             return body
                 .iter()
                 .flatten()
-                .all(|x| matches!(x.op, OpKind::Read | OpKind::Write));
+                .all(|y| matches!(y.op, OpKind::Read | OpKind::Write));
         }
         let accesses = body
             .iter()
@@ -1141,44 +1147,29 @@ impl<'a> Explorer<'a> {
             self.cfg.cache.geometry,
         );
         refs.begin_epoch();
-        for (p, x) in accesses.chain([a, b]) {
-            refs.record(ProcId(p), self.program.addr(x.word));
+        for (r, y) in accesses.chain([a, b].into_iter().filter_map(Step::op)) {
+            refs.record(ProcId(r), self.program.addr(y.word));
         }
-        let (p, x) = a;
         let write = matches!(x.op, OpKind::Write | OpKind::WriteCritical);
         engine.commutes(ProcId(p), self.program.addr(x.word), write, &refs)
     }
 
-    /// Replays `steps` from a fresh engine, applying the sabotage hook
-    /// and running every check after each step. Returns the live
-    /// stepper, or the first `(invariant, message)` violation — the
-    /// engines' freshness assertions surface as caught panics.
-    fn run(&self, steps: &[Step]) -> Result<EngineStepper, (String, String)> {
-        self.replay(steps, &[]).map(|(stepper, _)| stepper)
+    /// Replays `steps` from a fresh engine with every check. Only the
+    /// shrinker needs it: its candidates are arbitrary traces, with no
+    /// saved state to start from.
+    fn run(&self, steps: &[Step]) -> Result<Node, (String, String)> {
+        steps.iter().try_fold(self.root(), |node, &step| {
+            self.step(node, step).map(|(child, _)| child)
+        })
     }
 
-    /// [`Explorer::run`] over `prefix` then `tail`, also returning the
-    /// outcome of each step of `tail`.
-    fn replay(&self, prefix: &[Step], tail: &[Step]) -> Result<Replayed, (String, String)> {
-        let mut stepper = EngineStepper::new(self.scheme.id(), self.cfg.clone());
-        for &step in prefix {
-            self.apply_checked(&mut stepper, step)?;
-        }
-        let mut outcomes = Vec::with_capacity(tail.len());
-        for &step in tail {
-            outcomes.push(self.apply_checked(&mut stepper, step)?);
-        }
-        Ok((stepper, outcomes))
-    }
-
-    /// Applies one step with every check; returns an access's outcome (a
-    /// write's is its stall).
-    fn apply_checked(
-        &self,
-        stepper: &mut EngineStepper,
-        step: Step,
-    ) -> Result<Option<AccessOutcome>, (String, String)> {
+    /// Applies `step` to `node` with every check: the sabotage hook, then
+    /// accounting and the scheme's invariants. Returns the child and the
+    /// step's outcome (a write's is its stall), or the first violation —
+    /// the engines' freshness assertions surface as caught panics.
+    fn step(&self, mut node: Node, step: Step) -> Stepped {
         let program = self.program;
+        let stepper = &mut node.stepper;
         let write = |stall| AccessOutcome { stall, miss: None };
         let outcome = catch_cell_panic(|| match step {
             Step::Boundary => {
@@ -1206,7 +1197,16 @@ impl<'a> Explorer<'a> {
         for inv in &self.invariants {
             (inv.check)(stepper.engine()).map_err(|msg| (inv.name.to_string(), msg))?;
         }
-        Ok(outcome)
+        // The barrier starts every processor at the head of the next
+        // epoch's sequence.
+        match step {
+            Step::Boundary => {
+                node.epoch += 1;
+                node.pos.fill(0);
+            }
+            Step::Op { proc, .. } => node.pos[proc as usize] += 1,
+        }
+        Ok((node, outcome))
     }
 }
 

@@ -169,17 +169,6 @@ impl Line {
         self.valid != 0
     }
 
-    /// Whether every word of the line is valid.
-    #[must_use]
-    pub fn all_valid(&self, words_per_line: u32) -> bool {
-        let full = if words_per_line == 64 {
-            u64::MAX
-        } else {
-            Self::bit(words_per_line) - 1
-        };
-        self.valid & full == full
-    }
-
     /// Whether `word` is dirty (write-back protocols).
     #[must_use]
     pub fn word_dirty(&self, word: u32) -> bool {
@@ -655,11 +644,9 @@ mod tests {
         assert_eq!(l.lease(2), 17);
         assert_eq!(l.lease(3), 0);
         assert!(l.any_valid() && l.any_dirty());
-        assert!(!l.all_valid(4));
         for w in 0..4 {
             l.set_word_valid(w, true);
         }
-        assert!(l.all_valid(4));
         l.set_word_dirty(2, false);
         assert!(!l.any_dirty());
         assert_eq!(l.valid_count(), 4);

@@ -120,12 +120,6 @@ impl EpochNode {
                 .iter()
                 .any(|w| w.array == array && w.section.may_intersect(section))
     }
-
-    /// Whether this node writes anything at all.
-    #[must_use]
-    pub fn writes_anything(&self) -> bool {
-        self.writes_everything || !self.writes.is_empty()
-    }
 }
 
 /// The epoch flow graph of a program (or of one procedure in
@@ -731,7 +725,6 @@ mod tests {
         let g = EpochFlowGraph::of_program(&prog);
         assert_eq!(g.len(), 2);
         assert!(!g.nodes().iter().any(|n| n.writes_everything));
-        assert!(g.node(NodeId(0)).writes_anything());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use crate::experiment::ExperimentResult;
 use crate::tables::{f, pct, Table};
-use tpi_net::TrafficClass;
 use tpi_proto::MissClass;
 
 /// One row per scheme: cycles, miss rate, latency, traffic, lock waits.
@@ -45,23 +44,6 @@ pub fn miss_classes(title: impl Into<String>, r: &ExperimentResult) -> Table {
         if n > 0 {
             t.row([class.to_string(), n.to_string(), pct(n as f64 / total)]);
         }
-    }
-    t
-}
-
-/// Network words per memory reference, split by traffic class.
-#[must_use]
-pub fn traffic(title: impl Into<String>, r: &ExperimentResult) -> Table {
-    let mut t = Table::new(title);
-    t.headers(["class", "messages", "words", "words/ref"]);
-    let refs = (r.sim.agg.reads + r.sim.agg.writes).max(1) as f64;
-    for class in TrafficClass::ALL {
-        t.row([
-            class.to_string(),
-            r.sim.traffic.messages(class).to_string(),
-            r.sim.traffic.words(class).to_string(),
-            f(r.sim.traffic.words(class) as f64 / refs, 3),
-        ]);
     }
     t
 }
@@ -106,44 +88,6 @@ pub fn marking_summary(title: impl Into<String>, r: &ExperimentResult) -> Table 
     t
 }
 
-/// Per-epoch timeline (cycles and misses), up to `max_rows` epochs.
-#[must_use]
-pub fn epoch_timeline(title: impl Into<String>, r: &ExperimentResult, max_rows: usize) -> Table {
-    let mut t = Table::new(title);
-    t.headers(["epoch", "cycles", "misses"]);
-    for p in r.sim.profile.iter().take(max_rows) {
-        t.row([
-            p.epoch.to_string(),
-            p.cycles.to_string(),
-            p.misses.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Per-processor busy time and load-imbalance summary.
-#[must_use]
-pub fn load_balance(title: impl Into<String>, r: &ExperimentResult) -> Table {
-    let mut t = Table::new(title);
-    t.headers(["metric", "value"]);
-    let max = r.sim.busy_cycles.iter().copied().max().unwrap_or(0);
-    let sum: u64 = r.sim.busy_cycles.iter().sum();
-    let n = r.sim.busy_cycles.len().max(1) as u64;
-    let mean = sum / n;
-    t.row(["processors".to_string(), n.to_string()]);
-    t.row(["busiest processor (cycles)".to_string(), max.to_string()]);
-    t.row(["mean busy (cycles)".to_string(), mean.to_string()]);
-    t.row([
-        "imbalance (max/mean)".to_string(),
-        f(max as f64 / mean.max(1) as f64, 2),
-    ]);
-    t.row([
-        "parallel efficiency (busy/total)".to_string(),
-        pct(sum as f64 / (r.sim.total_cycles.max(1) * n) as f64),
-    ]);
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +108,12 @@ mod tests {
         assert_eq!(cmp.len(), 2);
         let mc = miss_classes("classes", &tpi);
         assert!(!mc.is_empty());
-        let tr = traffic("traffic", &tpi);
-        assert_eq!(tr.len(), 3);
         let hot = hot_arrays("hot", &tpi, 4);
         assert!(hot.len() >= 2, "ARC2D misses on Q and R");
         let ms = marking_summary("marking", &tpi);
         assert!(ms.len() >= 4);
-        let tl = epoch_timeline("timeline", &tpi, 5);
-        assert!(tl.len() <= 5 && !tl.is_empty());
-        let lb = load_balance("balance", &tpi);
-        assert_eq!(lb.len(), 5);
         // Everything renders without panicking.
-        for t in [cmp, mc, tr, hot, ms, tl, lb] {
+        for t in [cmp, mc, hot, ms] {
             assert!(t.to_string().contains("##"));
         }
     }

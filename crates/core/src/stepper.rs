@@ -5,19 +5,20 @@
 //! The trace simulator ([`tpi_sim`]) replays whole epochs of a recorded
 //! trace; `tpi-model` instead needs to *choose* the next access while
 //! exploring interleavings, observe the engine after every single step,
-//! and replay the same prefix deterministically many times. The
-//! [`EngineStepper`] provides exactly that: it owns the engine, the
-//! per-processor clocks, the epoch counter, and a per-word ground-truth
-//! log (version = number of writes so far, plus the epoch of the last
-//! write), and derives sound [`ReadKind`]s from that log — a never-written
-//! word reads as [`ReadKind::Plain`], anything else as a
-//! [`ReadKind::TimeRead`] whose distance is exactly the word's age in
-//! epochs, the tightest bound a correct compiler could emit.
+//! and branch from any state it has reached. The [`EngineStepper`]
+//! provides exactly that: it owns the engine, the per-processor clocks,
+//! the epoch counter, and a per-word ground-truth log (version = number
+//! of writes so far, plus the epoch of the last write), and derives sound
+//! [`ReadKind`]s from that log — a never-written word reads as
+//! [`ReadKind::Plain`], anything else as a [`ReadKind::TimeRead`] whose
+//! distance is exactly the word's age in epochs, the tightest bound a
+//! correct compiler could emit.
 //!
-//! Engines are not `Clone`, so exploration is *stateless*: the checker
-//! re-executes each prefix from a fresh stepper and prunes revisits with
-//! [`EngineStepper::fingerprint`], a conservative hash of the full engine
-//! state (via its `Debug` rendering) plus the epoch and clocks.
+//! A stepper is `Clone` (a deep copy of the engine and its ground truth),
+//! so the checker branches by copying a state and stepping the copy, and
+//! prunes revisits with [`EngineStepper::fingerprint`], a conservative
+//! hash of the full engine state (via its `Debug` rendering) plus the
+//! epoch and clocks.
 
 use std::hash::{Hash, Hasher};
 
@@ -26,6 +27,7 @@ use tpi_proto::{build_engine, AccessOutcome, CoherenceEngine, EngineConfig, Sche
 
 /// Drives one coherence engine a single access at a time, tracking the
 /// ground truth needed to issue sound reads and judge the results.
+#[derive(Clone)]
 pub struct EngineStepper {
     engine: Box<dyn CoherenceEngine>,
     procs: u32,

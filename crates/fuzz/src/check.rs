@@ -126,7 +126,7 @@ impl ViolationClass {
 /// Delegating engine wrapper that re-applies a [`Sabotage`] hook at
 /// construction and at every epoch boundary, so the damage survives the
 /// engine's own recovery (resets, invalidation, line replacement).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SabotagedEngine {
     inner: Box<dyn CoherenceEngine>,
     hook: Sabotage,

@@ -58,16 +58,6 @@ impl CallGraph {
     pub fn bottom_up(&self) -> &[ProcIdx] {
         &self.reachable
     }
-
-    /// Whether every call edge goes to an earlier-defined procedure
-    /// (the builder invariant; false for hand-built recursive programs).
-    #[must_use]
-    pub fn is_forward_free(&self) -> bool {
-        self.callees
-            .iter()
-            .enumerate()
-            .all(|(i, cs)| cs.iter().all(|c| (c.0 as usize) < i))
-    }
 }
 
 fn collect_calls(stmts: &[Stmt], out: &mut Vec<ProcIdx>) {
@@ -115,6 +105,5 @@ mod tests {
         assert_eq!(main_callees, vec![leaf, mid]);
         // orphan is unreachable.
         assert_eq!(cg.bottom_up(), &[leaf, mid, main]);
-        assert!(cg.is_forward_free());
     }
 }

@@ -174,17 +174,6 @@ impl Affine {
             .fold(self.konst, |acc, &(v, c)| acc + c * env.value(v))
     }
 
-    /// The expression with `v` substituted by constant `value`.
-    #[must_use]
-    pub fn substitute(&self, v: VarId, value: i64) -> Affine {
-        let mut out = self.clone();
-        if let Some(pos) = out.terms.iter().position(|(t, _)| *t == v) {
-            let (_, c) = out.terms.remove(pos);
-            out.konst += c * value;
-        }
-        out
-    }
-
     fn add_term(&mut self, v: VarId, c: i64) {
         if c == 0 {
             return;
@@ -529,14 +518,6 @@ mod tests {
         #[allow(clippy::erasing_op)]
         let e2 = (Affine::var(v(1)) + 3) * 0;
         assert_eq!(e2, Affine::konst(0));
-    }
-
-    #[test]
-    fn affine_substitute() {
-        let e = Affine::var(v(0)) * 3 + Affine::var(v(1)) + 1;
-        let s = e.substitute(v(0), 4);
-        assert_eq!(s, Affine::var(v(1)) + 13);
-        assert!(!s.uses(v(0)));
     }
 
     #[test]

@@ -214,13 +214,6 @@ impl MemLayout {
         let within = addr.0 - self.bases[idx].0;
         (within < self.decls[idx].len_words()).then_some(ArrayId(idx as u32))
     }
-
-    /// Sharing class of `addr` (padding counts as `Shared`, conservatively).
-    #[must_use]
-    pub fn sharing_of(&self, addr: WordAddr) -> Sharing {
-        self.array_of(addr)
-            .map_or(Sharing::Shared, |id| self.decl(id).sharing())
-    }
 }
 
 #[cfg(test)]
@@ -284,9 +277,6 @@ mod tests {
         assert_eq!(l.array_of(WordAddr(12)), Some(ArrayId(1)));
         assert_eq!(l.array_of(WordAddr(28)), Some(ArrayId(2)));
         assert_eq!(l.array_of(WordAddr(29)), None); // past end of "p"
-        assert_eq!(l.sharing_of(WordAddr(24)), Sharing::Private);
-        assert_eq!(l.sharing_of(WordAddr(0)), Sharing::Shared);
-        assert_eq!(l.sharing_of(WordAddr(10)), Sharing::Shared);
     }
 
     #[test]

@@ -83,14 +83,6 @@ impl fmt::Display for Epoch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WordAddr(pub u64);
 
-impl WordAddr {
-    /// Byte address of this word (words are 4 bytes).
-    #[must_use]
-    pub fn byte_addr(self) -> u64 {
-        self.0 * WORD_BYTES as u64
-    }
-}
-
 impl fmt::Display for WordAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "w{:#x}", self.0)
@@ -169,12 +161,6 @@ impl LineGeometry {
     pub fn first_word(self, line: LineAddr) -> WordAddr {
         WordAddr(line.0 << self.shift)
     }
-
-    /// Iterator over all word addresses of `line`.
-    pub fn words_of(self, line: LineAddr) -> impl Iterator<Item = WordAddr> {
-        let base = self.first_word(line).0;
-        (0..u64::from(self.words_per_line)).map(move |i| WordAddr(base + i))
-    }
 }
 
 /// Compiler annotation attached to a load, consumed by the coherence hardware.
@@ -243,18 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn words_of_enumerates_whole_line() {
-        let g = LineGeometry::new(8);
-        let words: Vec<_> = g.words_of(LineAddr(3)).collect();
-        assert_eq!(words.len(), 8);
-        assert_eq!(words[0], WordAddr(24));
-        assert_eq!(words[7], WordAddr(31));
-        for w in words {
-            assert_eq!(g.line_of(w), LineAddr(3));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn line_geometry_rejects_non_power_of_two() {
         let _ = LineGeometry::new(3);
@@ -286,10 +260,5 @@ mod tests {
             ReadKind::TimeRead { distance: 2 }.to_string(),
             "time-read(d=2)"
         );
-    }
-
-    #[test]
-    fn word_byte_addr() {
-        assert_eq!(WordAddr(5).byte_addr(), 20);
     }
 }

@@ -14,7 +14,7 @@ use tpi_mem::{Cycle, DenseBitSet, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The BASE (uncached-shared) engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BaseEngine {
     cfg: EngineConfig,
     /// Private-data caches only.

@@ -55,7 +55,7 @@ impl DirEntry {
 }
 
 /// Full-map (or LimitLess) directory engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DirectoryEngine {
     cfg: EngineConfig,
     caches: Vec<Cache>,

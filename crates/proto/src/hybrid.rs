@@ -26,7 +26,7 @@ use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAd
 use tpi_net::{Network, TrafficClass};
 
 /// The hybrid update/invalidate coherence engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HybridEngine {
     cfg: EngineConfig,
     caches: Vec<Cache>,

@@ -15,7 +15,7 @@ use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The perfect-coherence oracle.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IdealEngine {
     cfg: EngineConfig,
     caches: Vec<Cache>,

@@ -234,7 +234,9 @@ impl AccessOutcome {
 /// complete protocol state; all engines derive it. `Send` is a supertrait
 /// so an engine can move to the thread that replays it; engines are plain
 /// data and satisfy it structurally. [`AnyEngine`] is a supertrait so
-/// [`CoherenceEngine::as_any`] needs no body in an engine.
+/// [`CoherenceEngine::as_any`] needs no body in an engine, and so a boxed
+/// engine is `Clone` for any engine that derives it: `tpi-model` searches
+/// by copying each explored state.
 pub trait CoherenceEngine: std::fmt::Debug + Send + AnyEngine {
     /// Scheme label for reports.
     fn name(&self) -> &'static str;
@@ -368,25 +370,33 @@ pub trait CoherenceEngine: std::fmt::Debug + Send + AnyEngine {
     }
 }
 
-/// Upcasts any `'static` value to [`std::any::Any`]: the provided bodies
-/// of [`CoherenceEngine::as_any`] and [`CoherenceEngine::as_any_mut`].
-///
-/// The blanket impl covers `Box<dyn CoherenceEngine>` too, where it
-/// upcasts the box rather than the engine, so never call these methods
-/// on a box; call `as_any` instead.
+/// Upcasts and copies a concrete engine behind `dyn CoherenceEngine`: the
+/// provided bodies of [`CoherenceEngine::as_any`] and
+/// [`CoherenceEngine::as_any_mut`], and the `Clone` of a boxed engine.
 pub trait AnyEngine: std::any::Any {
     /// `self` as [`std::any::Any`].
     fn any_ref(&self) -> &dyn std::any::Any;
     /// `self` as mutable [`std::any::Any`].
     fn any_mut(&mut self) -> &mut dyn std::any::Any;
+    /// A deep copy of `self`, boxed.
+    fn boxed_clone(&self) -> Box<dyn CoherenceEngine>;
 }
 
-impl<T: std::any::Any> AnyEngine for T {
+impl<T: CoherenceEngine + Clone> AnyEngine for T {
     fn any_ref(&self) -> &dyn std::any::Any {
         self
     }
     fn any_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+    fn boxed_clone(&self) -> Box<dyn CoherenceEngine> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn CoherenceEngine> {
+    fn clone(&self) -> Self {
+        (**self).boxed_clone()
     }
 }
 
@@ -437,6 +447,63 @@ mod tests {
             let e = build_engine(scheme.id(), EngineConfig::paper_default(1024));
             assert!(!e.name().is_empty());
             assert_eq!(e.stats().per_proc().len(), 16);
+        }
+    }
+
+    #[test]
+    fn any_ref_on_a_box_reaches_the_engine() {
+        let engine = build_engine(SchemeId::TPI, EngineConfig::paper_default(1024));
+        assert!(engine.any_ref().is::<TpiEngine>());
+    }
+
+    /// Issues `accesses` (processor, word, is-write) of epoch `epoch` in
+    /// order, each read with the version and Time-Read distance a sound
+    /// execution requires; `log` maps a word to its version and the
+    /// epoch of its last write.
+    fn drive(
+        engine: &mut dyn CoherenceEngine,
+        log: &mut std::collections::HashMap<u64, (u64, u64)>,
+        epoch: u64,
+        accesses: &[(u32, u64, bool)],
+    ) {
+        for (i, &(p, w, write)) in accesses.iter().enumerate() {
+            let now = epoch * 10_000 + i as Cycle * 100;
+            let (version, last) = log.get(&w).copied().unwrap_or((0, 0));
+            if write {
+                log.insert(w, (version + 1, epoch));
+                engine.write(ProcId(p), WordAddr(w), version + 1, now);
+            } else {
+                let kind = if version == 0 {
+                    ReadKind::Plain
+                } else {
+                    ReadKind::TimeRead {
+                        distance: (epoch - last) as u32,
+                    }
+                };
+                engine.read(ProcId(p), WordAddr(w), kind, version, now);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cloned_engine_is_a_deep_copy() {
+        let cfg = EngineConfig::paper_default(1024);
+        for scheme in registry::global().all() {
+            let id = scheme.id();
+            let mut engine = build_engine(id, cfg.clone());
+            let mut log = std::collections::HashMap::new();
+            let first = [(0, 0, true), (1, 64, false), (0, 0, false), (2, 128, true)];
+            drive(engine.as_mut(), &mut log, 0, &first);
+            engine.epoch_boundary(&[10_000; 16]);
+            let mut copy = engine.clone();
+            let second = [(1, 0, false), (0, 64, true), (2, 128, false), (1, 0, false)];
+            drive(engine.as_mut(), &mut log.clone(), 1, &second);
+            drive(copy.as_mut(), &mut log, 1, &second);
+            let original = format!("{engine:?}");
+            assert_eq!(format!("{copy:?}"), original, "{id}: the copy diverged");
+            copy.write(ProcId(3), WordAddr(192), 1, 20_000);
+            assert_eq!(format!("{engine:?}"), original, "{id}: shared state");
+            assert_ne!(format!("{copy:?}"), original, "{id}: a lost write");
         }
     }
 

@@ -21,7 +21,7 @@ use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The SC coherence engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScEngine {
     cfg: EngineConfig,
     caches: Vec<Cache>,

@@ -138,6 +138,7 @@ impl LineRecord for SharerSet {
 /// holder. An empty record counts as absent, so `Debug` prints only the
 /// non-empty ones, in line-address order, and two tables holding the same
 /// records print alike whatever their history.
+#[derive(Clone)]
 pub(crate) struct LineTable<E> {
     /// Arena index + 1 per line address (0 = no record yet).
     slots: DenseTable<u32>,

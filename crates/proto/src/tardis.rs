@@ -32,7 +32,7 @@ use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAd
 use tpi_net::{Network, TrafficClass};
 
 /// The Tardis timestamp-lease coherence engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TardisEngine {
     cfg: EngineConfig,
     caches: Vec<Cache>,

@@ -31,7 +31,7 @@ use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The TPI coherence engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TpiEngine {
     cfg: EngineConfig,
     caches: Vec<Cache>,

@@ -10,7 +10,7 @@ use tpi_cache::{WriteBuffer, WriteBufferKind, WriteBufferStats};
 use tpi_mem::{Cycle, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct WritePath {
     buffers: Vec<WriteBuffer>,
     port_free: Vec<Cycle>,

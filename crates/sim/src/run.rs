@@ -123,16 +123,6 @@ impl SimResult {
         self.agg.avg_miss_latency()
     }
 
-    /// Speedup of this run relative to `other` (other / self).
-    #[must_use]
-    pub fn speedup_over(&self, other: &SimResult) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            other.total_cycles as f64 / self.total_cycles as f64
-        }
-    }
-
     /// Network words per (shared) memory reference — a traffic density
     /// measure comparable across schemes.
     #[must_use]

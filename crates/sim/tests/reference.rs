@@ -73,7 +73,7 @@ fn ocean_matches_reference() {
 }
 
 /// An engine wrapper that logs every access as `(proc, word, now)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Recorder {
     inner: Box<dyn CoherenceEngine>,
     calls: Vec<(u32, u64, Cycle)>,
@@ -342,7 +342,7 @@ fn private_replicas_of_a_narrower_layout_are_not_one_processors_lines() {
 
 /// Like [`Recorder`], but forwards the run-ahead rule and logs the calls
 /// it declared commuting, as `(proc, index among proc's calls)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RuleRecorder {
     inner: Box<dyn CoherenceEngine>,
     calls: Vec<(u32, u64, Cycle)>,

@@ -146,29 +146,3 @@ fn write_heavy_epochs_slow_later_reads() {
         rl.avg_miss_latency()
     );
 }
-
-#[test]
-fn results_expose_speedup_helper() {
-    let fast = simulate(
-        |p| {
-            let a = p.shared("A", [64]);
-            p.proc("main", |f| {
-                f.doall(0, 63, |i, f| f.store(a.at(subs![i]), vec![], 1));
-            })
-        },
-        100,
-    );
-    let slow = simulate(
-        |p| {
-            let a = p.shared("A", [64]);
-            p.proc("main", |f| {
-                for _ in 0..4 {
-                    f.doall(0, 63, |i, f| f.store(a.at(subs![i]), vec![], 1));
-                }
-            })
-        },
-        100,
-    );
-    assert!(fast.speedup_over(&slow) > 1.0);
-    assert!(slow.speedup_over(&fast) < 1.0);
-}
