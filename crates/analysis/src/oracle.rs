@@ -29,7 +29,7 @@
 
 use crate::diag::{Code, Diagnostic, Severity};
 use std::collections::HashMap;
-use tpi_mem::{Epoch, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Epoch, ProcId, ReadKind, Version, WordAddr};
 use tpi_trace::{Event, GroundTruth, Trace, Writer};
 
 /// Which scheme's read semantics the oracle replays.
@@ -76,9 +76,9 @@ pub struct Violation {
     /// The read's marking.
     pub kind: ReadKind,
     /// Version the execution requires the read to observe.
-    pub required_version: u64,
+    pub required_version: Version,
     /// Stale version the resident copy holds.
-    pub copy_version: u64,
+    pub copy_version: Version,
     /// Epoch the stale copy was last stamped in.
     pub copy_epoch: Epoch,
     /// Ground-truth writer of the required version, when the trace
@@ -174,7 +174,7 @@ impl OracleReport {
 /// The worst-case resident copy of one word on one processor.
 #[derive(Debug, Clone, Copy)]
 struct CopyState {
-    version: u64,
+    version: Version,
     stamp: Epoch,
 }
 

@@ -15,7 +15,7 @@
 
 use crate::timetag::ResetEvent;
 use std::fmt;
-use tpi_mem::{LineAddr, LineGeometry, WordAddr};
+use tpi_mem::{LineAddr, LineGeometry, Version, WordAddr};
 
 /// Geometry and capacity of one processor's cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,11 +92,13 @@ pub enum LineState {
 
 /// Per-word shadow metadata: the hardware timetag and the simulation-only
 /// value version, kept side by side in one allocation because the TPI read
-/// path always inspects both for the same word.
+/// path always inspects both for the same word. The lease is a TARDIS
+/// timestamp, not a version, so it keeps 64 bits; the record takes 16
+/// bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct WordMeta {
     tag: u16,
-    version: u64,
+    version: Version,
     lease: u64,
 }
 
@@ -220,12 +222,12 @@ impl Line {
 
     /// Shadow version of `word` (what value generation it holds).
     #[must_use]
-    pub fn version(&self, word: u32) -> u64 {
+    pub fn version(&self, word: u32) -> Version {
         self.meta[word as usize].version
     }
 
     /// Sets the shadow version of `word`.
-    pub fn set_version(&mut self, word: u32, version: u64) {
+    pub fn set_version(&mut self, word: u32, version: Version) {
         self.meta[word as usize].version = version;
     }
 
@@ -599,6 +601,13 @@ impl fmt::Debug for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn word_meta_is_sixteen_bytes() {
+        // Every resident line carries one record per word; a widened field
+        // grows every cache of every engine.
+        assert_eq!(std::mem::size_of::<WordMeta>(), 16);
+    }
 
     fn small_cfg(assoc: u32) -> CacheConfig {
         // 8 lines of 4 words.

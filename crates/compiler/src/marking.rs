@@ -116,12 +116,14 @@ impl Marking {
 
     /// The annotation the TPI hardware receives for `site`.
     ///
-    /// Unknown sites (private arrays) are `Plain`.
+    /// Unknown sites (private arrays) are `Plain`. The decision's exact
+    /// distance saturates at `u8::MAX` in the annotation, which can only
+    /// add conservative misses (see [`ReadKind::TimeRead`]).
     #[must_use]
     pub fn tpi_kind(&self, site: RefSite) -> ReadKind {
         match self.decisions.get(&site) {
             Some(d) if d.stale => ReadKind::TimeRead {
-                distance: d.distance,
+                distance: u8::try_from(d.distance).unwrap_or(u8::MAX),
             },
             _ => ReadKind::Plain,
         }
@@ -589,5 +591,15 @@ mod tests {
         let d2 = m.decision(site(2, 0)).unwrap();
         assert!(d2.stale);
         assert_eq!(d2.distance, 1);
+    }
+
+    #[test]
+    fn time_read_distances_saturate_at_a_byte() {
+        let mut m = Marking::default();
+        m.set_decision(site(0, 0), MarkDecision::stale(300, MarkReason::CrossEpoch));
+        m.set_decision(site(0, 1), MarkDecision::stale(255, MarkReason::CrossEpoch));
+        assert_eq!(m.tpi_kind(site(0, 0)), ReadKind::TimeRead { distance: 255 });
+        assert_eq!(m.tpi_kind(site(0, 1)), ReadKind::TimeRead { distance: 255 });
+        assert_eq!(m.decision(site(0, 0)).unwrap().distance, 300, "kept exact");
     }
 }

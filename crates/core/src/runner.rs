@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use tpi_compiler::{mark_program, CompilerOptions, Marking};
 use tpi_ir::Program;
 use tpi_proto::SchemeId;
-use tpi_trace::{generate_trace, EpochEvents, Trace, TraceError, TraceOptions};
+use tpi_trace::{generate_trace, EpochEvents, Event, Trace, TraceError, TraceOptions};
 use tpi_workloads::{Kernel, Scale};
 
 /// Where a cell's program comes from.
@@ -424,6 +424,8 @@ impl Runner {
         self.prof.incr("interp_epochs", trace.stats.epochs);
         let events: usize = trace.epochs.iter().map(EpochEvents::len).sum();
         self.prof.incr("interp_events", events as u64);
+        let bytes = events.saturating_mul(std::mem::size_of::<Event>());
+        self.prof.incr("interp_event_bytes", bytes as u64);
     }
 
     /// A snapshot of the cache counters.
@@ -1403,6 +1405,11 @@ mod tests {
         // One cell replays its trace once: every event it replays is one
         // the interpreter emitted.
         assert_eq!(prof.counter("sim_events"), prof.counter("interp_events"));
+        // The trace's event storage: 16 bytes an event.
+        assert_eq!(
+            prof.counter("interp_event_bytes"),
+            prof.counter("interp_events") * 16
+        );
         // A memoized re-run opens the phase scopes again but interprets
         // nothing new, so the harvested per-trace sub-stages stay put.
         let calls_before = prof.stage("prepare/interp").unwrap().calls;

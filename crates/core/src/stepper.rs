@@ -22,7 +22,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use tpi_mem::{Cycle, FastMap, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, FastMap, ProcId, ReadKind, Version, WordAddr};
 use tpi_proto::{build_engine, AccessOutcome, CoherenceEngine, EngineConfig, SchemeId};
 
 /// Drives one coherence engine a single access at a time, tracking the
@@ -36,7 +36,7 @@ pub struct EngineStepper {
     /// Epochs completed so far (boundaries crossed).
     epoch: u64,
     /// Ground truth: number of writes each word has received.
-    versions: FastMap<u64, u64>,
+    versions: FastMap<u64, Version>,
     /// Epoch in which each word was last written.
     last_write_epoch: FastMap<u64, u64>,
 }
@@ -81,19 +81,32 @@ impl EngineStepper {
 
     /// Ground-truth version of `addr` (number of writes it has received).
     #[must_use]
-    pub fn version(&self, addr: WordAddr) -> u64 {
+    pub fn version(&self, addr: WordAddr) -> Version {
         self.versions.get(&addr.0).copied().unwrap_or(0)
+    }
+
+    /// Records one more write to `addr` in the ground truth and returns
+    /// the word's version after it.
+    fn next_version(&mut self, addr: WordAddr) -> Version {
+        let version = self
+            .version(addr)
+            .checked_add(1)
+            .expect("fewer than 2^32 writes to one word");
+        self.versions.insert(addr.0, version);
+        version
     }
 
     /// The read marking the ground truth dictates for `addr`: `Plain` for
     /// a never-written word, otherwise a Time-Read whose distance is the
-    /// exact epoch age of the last write (0 inside the writing epoch).
+    /// exact epoch age of the last write (0 inside the writing epoch),
+    /// saturated at `u8::MAX` like the compiler's (see
+    /// [`ReadKind::TimeRead`]).
     #[must_use]
     pub fn read_kind(&self, addr: WordAddr) -> ReadKind {
         match self.last_write_epoch.get(&addr.0) {
             None => ReadKind::Plain,
             Some(&e) => ReadKind::TimeRead {
-                distance: u32::try_from(self.epoch - e).unwrap_or(u32::MAX),
+                distance: u8::try_from(self.epoch - e).unwrap_or(u8::MAX),
             },
         }
     }
@@ -124,8 +137,7 @@ impl EngineStepper {
     /// Issues a write by `proc`, bumping the ground-truth version; returns
     /// the processor stall.
     pub fn write(&mut self, proc: ProcId, addr: WordAddr) -> Cycle {
-        let version = self.version(addr) + 1;
-        self.versions.insert(addr.0, version);
+        let version = self.next_version(addr);
         self.last_write_epoch.insert(addr.0, self.epoch);
         let now = self.clocks[proc.0 as usize];
         let stall = self.engine.write(proc, addr, version, now);
@@ -135,8 +147,7 @@ impl EngineStepper {
 
     /// Issues a critical-section write; returns the processor stall.
     pub fn write_critical(&mut self, proc: ProcId, addr: WordAddr) -> Cycle {
-        let version = self.version(addr) + 1;
-        self.versions.insert(addr.0, version);
+        let version = self.next_version(addr);
         self.last_write_epoch.insert(addr.0, self.epoch);
         let now = self.clocks[proc.0 as usize];
         let stall = self.engine.write_critical(proc, addr, version, now);
@@ -223,6 +234,29 @@ mod tests {
         assert_eq!(s.read_kind(a), ReadKind::TimeRead { distance: 1 });
         assert_eq!(s.version(a), 1);
         assert_eq!(s.epoch(), 1);
+    }
+
+    #[test]
+    fn read_kind_distances_saturate_at_a_byte() {
+        let mut s = EngineStepper::new(SchemeId::TPI, tiny_cfg());
+        let a = WordAddr(0);
+        // P1 caches the initial value, which P0 then overwrites.
+        let _ = s.read(ProcId(1), a);
+        s.boundary();
+        s.write(ProcId(0), a);
+        for _ in 0..255 {
+            s.boundary();
+        }
+        assert_eq!(s.read_kind(a), ReadKind::TimeRead { distance: 255 });
+        for _ in 255..300 {
+            s.boundary();
+        }
+        assert_eq!(s.epoch(), 301);
+        assert_eq!(s.read_kind(a), ReadKind::TimeRead { distance: 255 });
+        // A saturated distance is only conservative: P1's stale copy still
+        // misses (the engine verifies freshness) and is accounted.
+        assert!(s.read(ProcId(1), a).miss.is_some());
+        s.check_accounting().unwrap();
     }
 
     #[test]

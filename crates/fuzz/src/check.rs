@@ -154,7 +154,7 @@ impl CoherenceEngine for SabotagedEngine {
         proc: tpi::mem::ProcId,
         addr: WordAddr,
         kind: tpi::mem::ReadKind,
-        version: u64,
+        version: tpi::mem::Version,
         now: tpi::mem::Cycle,
     ) -> tpi::proto::AccessOutcome {
         self.inner.read(proc, addr, kind, version, now)
@@ -163,7 +163,7 @@ impl CoherenceEngine for SabotagedEngine {
         &mut self,
         proc: tpi::mem::ProcId,
         addr: WordAddr,
-        version: u64,
+        version: tpi::mem::Version,
         now: tpi::mem::Cycle,
     ) -> tpi::mem::Cycle {
         self.inner.write(proc, addr, version, now)
@@ -172,7 +172,7 @@ impl CoherenceEngine for SabotagedEngine {
         &mut self,
         proc: tpi::mem::ProcId,
         addr: WordAddr,
-        version: u64,
+        version: tpi::mem::Version,
         now: tpi::mem::Cycle,
     ) -> tpi::mem::Cycle {
         self.inner.write_critical(proc, addr, version, now)

@@ -25,9 +25,9 @@
 //! # Example
 //!
 //! ```
-//! use tpi_mem::{DenseBitSet, DenseTable};
+//! use tpi_mem::{DenseBitSet, DenseTable, Version};
 //!
-//! let mut versions: DenseTable<u64> = DenseTable::default();
+//! let mut versions: DenseTable<Version> = DenseTable::default();
 //! versions.set(0x40, 3);
 //! assert_eq!(versions.get(0x40), 3);
 //! assert_eq!(versions.get(0x41), 0, "unwritten entries read as default");

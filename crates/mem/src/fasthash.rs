@@ -29,9 +29,9 @@
 //! * the trace interpreter's post table (which iteration posted each
 //!   doacross event), cleared at every epoch and touched only by loops
 //!   that post. The interpreter's per-word versions and race state are not
-//!   hashed: they share one [`crate::DenseTable`] of 28-byte records over
+//!   hashed: they share one [`crate::DenseTable`] of 20-byte records over
 //!   the words a trace touches (under 1 MB for the paper-scale kernels,
-//!   56 MiB for OCEAN-large and 84 MiB for ARC2D-large on 1,024
+//!   40 MiB for OCEAN-large and 60 MiB for ARC2D-large on 1,024
 //!   processors), which lives only while a trace is generated. That costs
 //!   more memory than maps of the touched words, but saves two hash probes
 //!   per shared access, and the experiment service holds traces, not
@@ -42,9 +42,9 @@
 //! # Example
 //!
 //! ```
-//! use tpi_mem::FastMap;
+//! use tpi_mem::{FastMap, Version};
 //!
-//! let mut versions: FastMap<u64, u64> = FastMap::default();
+//! let mut versions: FastMap<u64, Version> = FastMap::default();
 //! versions.insert(0x40, 3);
 //! assert_eq!(versions.get(&0x40), Some(&3));
 //! ```

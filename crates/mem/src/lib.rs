@@ -46,6 +46,16 @@ impl fmt::Display for ProcId {
 /// A simulation time point or duration, in processor clock cycles.
 pub type Cycle = u64;
 
+/// Value generation of one word: the number of writes it has received.
+///
+/// Simulation shadow state, not modelled hardware: the interpreter attaches
+/// the version to every access in the trace, and the engines keep memory's
+/// and each cached word's version so they can check freshness and classify
+/// misses. The interpreter counts versions with a checked increment, so a
+/// run that would write one word more than `u32::MAX` times stops instead
+/// of wrapping.
+pub type Version = u32;
+
 /// Runtime epoch number.
 ///
 /// An *epoch* is the paper's unit of coherence enforcement: one parallel
@@ -181,7 +191,15 @@ pub enum ReadKind {
     TimeRead {
         /// Compiler-proven number of epoch boundaries since the most recent
         /// epoch in which another processor may have written the datum.
-        distance: u32,
+        ///
+        /// The paper's timetags are 4 to 8 bits wide. No tag of 8 bits or
+        /// fewer survives 256 epochs, so a byte holds every distance such
+        /// a tag can tell apart. Producers saturate larger distances at
+        /// `u8::MAX`. That is sound for any tag width: a smaller distance
+        /// admits fewer tags, so it can only turn a hit into a
+        /// conservative miss, never admit a stale copy. No kernel's
+        /// marking exceeds distance 4 today.
+        distance: u8,
     },
     /// A potentially-stale reference under the software cache-bypass (SC)
     /// scheme: always served from memory.
@@ -248,6 +266,13 @@ mod tests {
         assert!(ReadKind::Bypass.is_marked());
         assert!(ReadKind::Critical.is_marked());
         assert_eq!(ReadKind::Critical.to_string(), "critical-read");
+    }
+
+    #[test]
+    fn read_kind_is_two_bytes() {
+        // The tag and the distance: this is what lets a trace `Read` (8-byte
+        // address, 4-byte version, `ReadKind`) and its enum tag fit 16 bytes.
+        assert_eq!(std::mem::size_of::<ReadKind>(), 2);
     }
 
     #[test]

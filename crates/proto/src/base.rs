@@ -10,7 +10,7 @@ use crate::stats::{EngineStats, MissClass};
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
 use tpi_cache::Cache;
-use tpi_mem::{Cycle, DenseBitSet, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The BASE (uncached-shared) engine.
@@ -96,7 +96,7 @@ impl CoherenceEngine for BaseEngine {
         proc: ProcId,
         addr: WordAddr,
         _kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -145,7 +145,7 @@ impl CoherenceEngine for BaseEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         if !self.cfg.is_shared(addr) {

@@ -28,7 +28,7 @@ use crate::sharers::{LineRecord, LineTable, SharerSet};
 use crate::stats::{EngineStats, MissClass, PendingMisses};
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs};
 use tpi_cache::{Cache, Evicted, LineState};
-use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 #[derive(Debug, Clone, Default)]
@@ -63,7 +63,7 @@ pub struct DirectoryEngine {
     stats: EngineStats,
     /// Directory entries by line address; an empty entry is absent.
     directory: LineTable<DirEntry>,
-    mem_versions: DenseTable<u64>,
+    mem_versions: DenseTable<Version>,
     ever_cached: Vec<DenseBitSet>,
     /// Pending classification for the next miss after an invalidation.
     pending_class: Vec<PendingMisses>,
@@ -170,7 +170,14 @@ impl DirectoryEngine {
     }
 
     /// Installs a full line in `p`'s cache; handles the victim.
-    fn fill(&mut self, p: usize, la: LineAddr, req_word: u32, req_version: u64, state: LineState) {
+    fn fill(
+        &mut self,
+        p: usize,
+        la: LineAddr,
+        req_word: u32,
+        req_version: Version,
+        state: LineState,
+    ) {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(la).0;
@@ -305,7 +312,7 @@ impl CoherenceEngine for DirectoryEngine {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -368,7 +375,7 @@ impl CoherenceEngine for DirectoryEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, _now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, _now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         let slot = self.mem_versions.get_mut(addr.0);

@@ -22,7 +22,7 @@ use crate::stats::{EngineStats, MissClass, PendingMisses};
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs};
 use tpi_cache::Cache;
-use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The hybrid update/invalidate coherence engine.
@@ -33,7 +33,7 @@ pub struct HybridEngine {
     wpath: WritePath,
     net: Network,
     stats: EngineStats,
-    mem_versions: DenseTable<u64>,
+    mem_versions: DenseTable<Version>,
     ever_cached: Vec<DenseBitSet>,
     /// Directory: per-line sharer presence set (memory is always current,
     /// so presence is all it tracks). Grows with the machine, so the
@@ -72,7 +72,7 @@ impl HybridEngine {
         }
     }
 
-    fn bump_mem_version(&mut self, addr: WordAddr, version: u64) {
+    fn bump_mem_version(&mut self, addr: WordAddr, version: Version) {
         let e = self.mem_versions.get_mut(addr.0);
         *e = (*e).max(version);
     }
@@ -86,7 +86,7 @@ impl HybridEngine {
     /// Refills `line_addr` from (always-current) memory and registers the
     /// processor as a sharer. Word versions never move backwards. A silent
     /// victim eviction deregisters that line's sharer bit.
-    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: u64) {
+    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: Version) {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(line_addr).0;
@@ -118,7 +118,7 @@ impl HybridEngine {
     /// Pushes a write of `addr` (now at `version`) to every *other*
     /// sharer: an in-place word update while the sharer's competitive
     /// counter is below the threshold, an invalidation once it trips.
-    fn push_to_sharers(&mut self, p: usize, la: LineAddr, w: u32, version: u64) {
+    fn push_to_sharers(&mut self, p: usize, la: LineAddr, w: u32, version: Version) {
         let Some(mask) = self.sharers.get_mut(la.0) else {
             return;
         };
@@ -251,7 +251,7 @@ impl CoherenceEngine for HybridEngine {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -301,7 +301,7 @@ impl CoherenceEngine for HybridEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         self.bump_mem_version(addr, version);
@@ -326,7 +326,13 @@ impl CoherenceEngine for HybridEngine {
         1
     }
 
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         self.bump_mem_version(addr, version);
@@ -445,7 +451,7 @@ mod tests {
         let _ = e.read(P1, a, ReadKind::Plain, 0, 0);
         // Default threshold 4: three updates land, the fourth invalidates.
         for v in 1..=4 {
-            e.write(P0, a, v, v);
+            e.write(P0, a, v, u64::from(v));
         }
         assert!(e.op_counts().contains(&("hybrid_updates_sent", 3)));
         assert!(e.op_counts().contains(&("hybrid_invals_sent", 1)));
@@ -459,9 +465,9 @@ mod tests {
         let a = WordAddr(48);
         let _ = e.read(P1, a, ReadKind::Plain, 0, 0);
         for v in 1..=10 {
-            e.write(P0, a, v, v);
+            e.write(P0, a, v, u64::from(v));
             // The consumer keeps reading, so its copy keeps winning.
-            assert_eq!(e.read(P1, a, ReadKind::Plain, v, v).miss, None);
+            assert_eq!(e.read(P1, a, ReadKind::Plain, v, u64::from(v)).miss, None);
         }
         assert!(e.op_counts().contains(&("hybrid_invals_sent", 0)));
     }
@@ -473,7 +479,7 @@ mod tests {
         let sibling = WordAddr(65); // same line, word 1
         let _ = e.read(P1, a, ReadKind::Plain, 0, 0);
         for v in 1..=4 {
-            e.write(P0, sibling, v, v);
+            e.write(P0, sibling, v, u64::from(v));
         }
         // P1 never touched the written word: a false-sharing casualty.
         let m = e.read(P1, a, ReadKind::Plain, 0, 10);

@@ -11,7 +11,7 @@
 use crate::stats::{EngineStats, MissClass};
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
 use tpi_cache::Cache;
-use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The perfect-coherence oracle.
@@ -42,7 +42,7 @@ impl IdealEngine {
         }
     }
 
-    fn fill(&mut self, p: usize, la: LineAddr, req_word: u32, version: u64) {
+    fn fill(&mut self, p: usize, la: LineAddr, req_word: u32, version: Version) {
         let wpl = self.cfg.cache.geometry.words_per_line();
         let (line, _) = self.caches[p].install(la);
         for w in 0..wpl {
@@ -63,7 +63,7 @@ impl CoherenceEngine for IdealEngine {
         proc: ProcId,
         addr: WordAddr,
         _kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -91,7 +91,7 @@ impl CoherenceEngine for IdealEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, _now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, _now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         let geom = self.cfg.cache.geometry;

@@ -60,7 +60,7 @@ pub use tardis::TardisEngine;
 pub use tpi::TpiEngine;
 
 use tpi_cache::{CacheConfig, ResetStrategy, WriteBufferKind, WritePolicy};
-use tpi_mem::{Cycle, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, NetworkConfig};
 
 /// Everything needed to instantiate an engine.
@@ -263,13 +263,13 @@ pub trait CoherenceEngine: std::fmt::Debug + Send + AnyEngine {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         now: Cycle,
     ) -> AccessOutcome;
 
     /// Processes a store; returns the processor stall (typically 1 cycle —
     /// writes retire in the background under weak consistency).
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle;
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle;
 
     /// Processes a store issued inside a lock-guarded critical section.
     ///
@@ -277,7 +277,13 @@ pub trait CoherenceEngine: std::fmt::Debug + Send + AnyEngine {
     /// must be globally visible by lock release, and the epoch machinery
     /// says nothing about it); directory schemes handle it like any
     /// coherent write. The default forwards to [`CoherenceEngine::write`].
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         self.write(proc, addr, version, now)
     }
 
@@ -462,7 +468,7 @@ mod tests {
     /// epoch of its last write.
     fn drive(
         engine: &mut dyn CoherenceEngine,
-        log: &mut std::collections::HashMap<u64, (u64, u64)>,
+        log: &mut std::collections::HashMap<u64, (Version, u64)>,
         epoch: u64,
         accesses: &[(u32, u64, bool)],
     ) {
@@ -477,7 +483,7 @@ mod tests {
                     ReadKind::Plain
                 } else {
                     ReadKind::TimeRead {
-                        distance: (epoch - last) as u32,
+                        distance: (epoch - last) as u8,
                     }
                 };
                 engine.read(ProcId(p), WordAddr(w), kind, version, now);

@@ -17,7 +17,7 @@ use crate::versions::EpochVersions;
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
 use tpi_cache::Cache;
-use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The SC coherence engine.
@@ -55,14 +55,14 @@ impl ScEngine {
         }
     }
 
-    fn bump_mem_version(&mut self, p: usize, addr: WordAddr, version: u64) {
+    fn bump_mem_version(&mut self, p: usize, addr: WordAddr, version: Version) {
         self.versions.bump(p, addr, version);
     }
 
     /// Refills `line_addr` from memory. Word versions never move backwards:
     /// a word the processor wrote this epoch (still in the write buffer) is
     /// kept rather than clobbered with the older memory copy.
-    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: u64) {
+    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: Version) {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(line_addr).0;
@@ -97,7 +97,7 @@ impl CoherenceEngine for ScEngine {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -152,7 +152,7 @@ impl CoherenceEngine for ScEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         self.bump_mem_version(p, addr, version);
@@ -175,7 +175,13 @@ impl CoherenceEngine for ScEngine {
         1
     }
 
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         self.bump_mem_version(p, addr, version);

@@ -28,7 +28,7 @@ use crate::stats::{EngineStats, MissClass};
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig, EpochRefs};
 use tpi_cache::{Cache, Line};
-use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, DenseTable, LineAddr, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The Tardis timestamp-lease coherence engine.
@@ -39,7 +39,7 @@ pub struct TardisEngine {
     wpath: WritePath,
     net: Network,
     stats: EngineStats,
-    mem_versions: DenseTable<u64>,
+    mem_versions: DenseTable<Version>,
     ever_cached: Vec<DenseBitSet>,
     /// Per-processor logical clock.
     pts: Vec<u64>,
@@ -77,7 +77,7 @@ impl TardisEngine {
         }
     }
 
-    fn bump_mem_version(&mut self, addr: WordAddr, version: u64) {
+    fn bump_mem_version(&mut self, addr: WordAddr, version: Version) {
         let e = self.mem_versions.get_mut(addr.0);
         *e = (*e).max(version);
     }
@@ -102,7 +102,7 @@ impl TardisEngine {
     /// Refills `line_addr` from memory, granting every word a fresh lease.
     /// Word versions never move backwards (a word still in the local write
     /// buffer keeps its newer version), and leases only extend.
-    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: u64) {
+    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: Version) {
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
         let base = geom.first_word(line_addr).0;
@@ -225,7 +225,7 @@ impl CoherenceEngine for TardisEngine {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -286,7 +286,7 @@ impl CoherenceEngine for TardisEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         let ts = self.write_timestamp(p, addr);
@@ -314,7 +314,13 @@ impl CoherenceEngine for TardisEngine {
         1
     }
 
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         let _ts = self.write_timestamp(p, addr);
@@ -427,7 +433,7 @@ mod tests {
         let _ = e.read(P1, a, ReadKind::Plain, 0, 0);
         // P0 hammers an unrelated word, driving its clock past P1's lease.
         for v in 1..=20 {
-            e.write(P0, hot, v, v);
+            e.write(P0, hot, v, u64::from(v));
             boundary(&mut e);
         }
         // The word P1 cached never changed, but the joined clock outran
@@ -441,8 +447,8 @@ mod tests {
     fn no_coherence_traffic_ever() {
         let mut e = engine();
         for v in 1..=10 {
-            let _ = e.read(P1, WordAddr(v), ReadKind::Plain, 0, 0);
-            e.write(P0, WordAddr(v), v, 1);
+            let _ = e.read(P1, WordAddr(u64::from(v)), ReadKind::Plain, 0, 0);
+            e.write(P0, WordAddr(u64::from(v)), v, 1);
             boundary(&mut e);
         }
         assert_eq!(e.network().stats().words(TrafficClass::Coherence), 0);

@@ -27,7 +27,7 @@ use crate::versions::EpochVersions;
 use crate::write_path::WritePath;
 use crate::{AccessOutcome, CoherenceEngine, EngineConfig};
 use tpi_cache::{Cache, TagClock, WriteBufferStats, WritePolicy};
-use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, WordAddr};
+use tpi_mem::{Cycle, DenseBitSet, LineAddr, ProcId, ReadKind, Version, WordAddr};
 use tpi_net::{Network, TrafficClass};
 
 /// The TPI coherence engine.
@@ -199,13 +199,13 @@ impl TpiEngine {
 
     /// The version of `addr` as processor `p` observes it (memory plus
     /// `p`'s own buffered stores).
-    fn mem_version(&self, p: usize, addr: WordAddr) -> u64 {
+    fn mem_version(&self, p: usize, addr: WordAddr) -> Version {
         self.versions.read(p, addr)
     }
 
     /// Versions grow monotonically per word; critical writes may be
     /// replayed out of their true order, so memory keeps the max.
-    fn bump_mem_version(&mut self, p: usize, addr: WordAddr, version: u64) {
+    fn bump_mem_version(&mut self, p: usize, addr: WordAddr, version: Version) {
         self.ops.version_bumps += 1;
         self.versions.bump(p, addr, version);
     }
@@ -214,7 +214,7 @@ impl TpiEngine {
     /// rule: the requested word is stamped with the current epoch, every
     /// other refreshed word with `epoch - 1`. Words already stamped in the
     /// current epoch (local writes / verified reads) are left untouched.
-    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: u64) {
+    fn fill(&mut self, p: usize, line_addr: LineAddr, req_word: u32, req_version: Version) {
         self.ops.fills += 1;
         let geom = self.cfg.cache.geometry;
         let wpl = geom.words_per_line();
@@ -264,7 +264,7 @@ impl CoherenceEngine for TpiEngine {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         _now: Cycle,
     ) -> AccessOutcome {
         let p = proc.0 as usize;
@@ -314,9 +314,9 @@ impl CoherenceEngine for TpiEngine {
                 }
                 let fresh = match kind {
                     ReadKind::Plain => true,
-                    ReadKind::TimeRead { distance } => {
-                        self.clock.fresh_within(line.timetag(w), distance)
-                    }
+                    ReadKind::TimeRead { distance } => self
+                        .clock
+                        .fresh_within(line.timetag(w), u32::from(distance)),
                     // A Bypass mark reaching the TPI engine behaves like the
                     // strictest Time-Read.
                     ReadKind::Bypass => self.clock.fresh_within(line.timetag(w), 0),
@@ -385,7 +385,7 @@ impl CoherenceEngine for TpiEngine {
         AccessOutcome::miss(stall, class)
     }
 
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         self.bump_mem_version(p, addr, version);
@@ -434,7 +434,13 @@ impl CoherenceEngine for TpiEngine {
         1
     }
 
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         let p = proc.0 as usize;
         self.stats.proc_mut(p).writes += 1;
         self.bump_mem_version(p, addr, version);

@@ -24,16 +24,16 @@
 //! maps hold one epoch's stores and are cleared at every barrier, so they
 //! stay small hash maps.
 
-use tpi_mem::{DenseTable, FastMap, WordAddr};
+use tpi_mem::{DenseTable, FastMap, Version, WordAddr};
 
 /// Per-word memory versions with epoch-boundary commit.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EpochVersions {
     /// Versions visible to every processor (committed at barriers).
-    committed: DenseTable<u64>,
+    committed: DenseTable<Version>,
     /// Versions written this epoch, visible only to the writing
     /// processor until the boundary (its write buffer's contents).
-    pending: Vec<FastMap<u64, u64>>,
+    pending: Vec<FastMap<u64, Version>>,
 }
 
 impl EpochVersions {
@@ -47,7 +47,7 @@ impl EpochVersions {
 
     /// The version of `addr` as processor `p` observes it: memory's
     /// committed copy, or `p`'s own pending store if newer.
-    pub(crate) fn read(&self, p: usize, addr: WordAddr) -> u64 {
+    pub(crate) fn read(&self, p: usize, addr: WordAddr) -> Version {
         let committed = self.committed.get(addr.0);
         if self.pending[p].is_empty() {
             return committed;
@@ -59,7 +59,7 @@ impl EpochVersions {
     /// Records a store of `version` to `addr` by processor `p`. Versions
     /// grow monotonically per word; critical writes may be replayed out
     /// of their true order, so the buffer keeps the max.
-    pub(crate) fn bump(&mut self, p: usize, addr: WordAddr, version: u64) {
+    pub(crate) fn bump(&mut self, p: usize, addr: WordAddr, version: Version) {
         let e = self.pending[p].entry(addr.0).or_insert(0);
         *e = (*e).max(version);
     }

@@ -13,7 +13,9 @@ use common::{
 };
 use std::cell::RefCell;
 use tpi_ir::Program;
-use tpi_mem::{ArrayDecl, Cycle, LineGeometry, MemLayout, ProcId, ReadKind, Sharing, WordAddr};
+use tpi_mem::{
+    ArrayDecl, Cycle, LineGeometry, MemLayout, ProcId, ReadKind, Sharing, Version, WordAddr,
+};
 use tpi_proto::{
     build_engine, AccessOutcome, CoherenceEngine, EngineConfig, EngineStats, EpochRefs,
 };
@@ -94,17 +96,23 @@ impl CoherenceEngine for Recorder {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         now: Cycle,
     ) -> AccessOutcome {
         self.calls.push((proc.0, addr.0, now));
         self.inner.read(proc, addr, kind, version, now)
     }
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         self.calls.push((proc.0, addr.0, now));
         self.inner.write(proc, addr, version, now)
     }
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         self.calls.push((proc.0, addr.0, now));
         self.inner.write_critical(proc, addr, version, now)
     }
@@ -173,7 +181,7 @@ fn read(word: u64) -> Event {
     }
 }
 
-fn write(word: u64, version: u64) -> Event {
+fn write(word: u64, version: Version) -> Event {
     Event::Write {
         addr: WordAddr(word),
         version,
@@ -372,17 +380,23 @@ impl CoherenceEngine for RuleRecorder {
         proc: ProcId,
         addr: WordAddr,
         kind: ReadKind,
-        version: u64,
+        version: Version,
         now: Cycle,
     ) -> AccessOutcome {
         self.log(proc, addr, now);
         self.inner.read(proc, addr, kind, version, now)
     }
-    fn write(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write(&mut self, proc: ProcId, addr: WordAddr, version: Version, now: Cycle) -> Cycle {
         self.log(proc, addr, now);
         self.inner.write(proc, addr, version, now)
     }
-    fn write_critical(&mut self, proc: ProcId, addr: WordAddr, version: u64, now: Cycle) -> Cycle {
+    fn write_critical(
+        &mut self,
+        proc: ProcId,
+        addr: WordAddr,
+        version: Version,
+        now: Cycle,
+    ) -> Cycle {
         self.log(proc, addr, now);
         self.inner.write_critical(proc, addr, version, now)
     }

@@ -14,7 +14,7 @@
 //! Every access is the interpreter's innermost hot path, so it does no
 //! hashing:
 //!
-//! * all per-word state is one [`DenseTable`] of 28-byte records: the
+//! * all per-word state is one [`DenseTable`] of 20-byte records: the
 //!   word's version, and its race state within one DOALL epoch, stamped
 //!   with that epoch. A record stamped with an earlier epoch reads as
 //!   untouched, so nothing is cleared between epochs;
@@ -31,8 +31,8 @@
 //! shared span (in the trace, replicas sit a whole span apart, at
 //! `span × (p + 1)`, so keyed by address every replica would pin a page of
 //! its own). It pays for the pages the trace touches, 4,096 records
-//! (112 KiB) each: under 1 MB for the paper-scale kernels on 16
-//! processors, 56 MiB for OCEAN-large and 84 MiB for ARC2D-large on 1,024
+//! (80 KiB) each: under 1 MB for the paper-scale kernels on 16
+//! processors, 40 MiB for OCEAN-large and 60 MiB for ARC2D-large on 1,024
 //! processors. It lives only while the trace is generated and is freed
 //! before the trace is returned; its pages stay below the allocator's
 //! usual mapping threshold, so the heap reuses them for the replay.
@@ -47,7 +47,9 @@ use std::time::Instant;
 use tpi_compiler::Marking;
 use tpi_ir::epochs::{EpochShape, Segment};
 use tpi_ir::{ArrayRef, Env, Program, RefSite, Stmt, Subscript};
-use tpi_mem::{DenseTable, Epoch, FastMap, LineGeometry, MemLayout, ReadKind, Sharing, WordAddr};
+use tpi_mem::{
+    DenseTable, Epoch, FastMap, LineGeometry, MemLayout, ReadKind, Sharing, Version, WordAddr,
+};
 
 /// Options controlling trace generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,25 +219,29 @@ fn packed_replica(layout: &MemLayout) -> (Vec<u64>, u64) {
     (base, words)
 }
 
-/// Merged lock context of all accesses to a word within one epoch.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum LockCtx {
-    /// No access recorded yet.
-    #[default]
-    Empty,
-    /// Every access so far was critical under this lock.
-    Uniform(u32),
-    /// Mixed contexts (non-critical, or different locks).
-    Tainted,
-}
+/// [`WordState::ctx`] before the epoch's first access to the word.
+const NO_ACCESS: u32 = 0;
 
-impl LockCtx {
-    fn merge(self, ctx: Option<u32>) -> LockCtx {
-        match (self, ctx) {
-            (LockCtx::Empty, Some(l)) => LockCtx::Uniform(l),
-            (LockCtx::Uniform(a), Some(l)) if a == l => LockCtx::Uniform(a),
-            _ => LockCtx::Tainted,
-        }
+/// [`WordState::ctx`] once the epoch's accesses to the word mix lock
+/// contexts: one was not critical, or two were under different locks.
+const MIXED_LOCKS: u32 = u32::MAX;
+
+/// The lock context of all the accesses to a word in one epoch, after one
+/// more access made under lock `ctx` (`None`: not critical). The context
+/// is [`NO_ACCESS`], `l + 1` while every access was critical under lock
+/// `l`, or [`MIXED_LOCKS`].
+fn merge_locks(merged: u32, ctx: Option<u32>) -> u32 {
+    let Some(lock) = ctx else {
+        return MIXED_LOCKS;
+    };
+    let uniform = lock
+        .checked_add(1)
+        .filter(|&c| c != MIXED_LOCKS)
+        .expect("fewer than 2^32 - 1 locks");
+    if merged == NO_ACCESS || merged == uniform {
+        uniform
+    } else {
+        MIXED_LOCKS
     }
 }
 
@@ -247,25 +253,25 @@ const UNKNOWN_READERS: u32 = u32::MAX;
 /// the DOALL epoch named by `stamp`.
 ///
 /// Tasks are named by iteration *ordinal*: the iteration's position in its
-/// epoch's iteration list plus one, so zero means none. The record takes 28
-/// bytes, so a page of 4,096 (112 KiB) stays below glibc's 128 KiB mmap
+/// epoch's iteration list plus one, so zero means none. The record takes 20
+/// bytes, so a page of 4,096 (80 KiB) stays below glibc's 128 KiB mmap
 /// threshold and comes from the heap, which the replay reuses once the
 /// table is freed. Pages over the threshold would each be mapped and
 /// faulted in afresh.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct WordState {
     /// Writes to the word so far.
-    version: u32,
+    version: Version,
     /// DOALL epoch + 1 that the fields below describe.
     stamp: u32,
     /// Ordinal of the last writing iteration.
     writer: u32,
-    /// Ordinal of the first reading iteration.
+    /// Ordinal of the first reading iteration, or [`UNKNOWN_READERS`] once
+    /// a second iteration has read the word.
     first_reader: u32,
-    /// Lock context merged over the epoch's accesses.
-    ctx: LockCtx,
-    /// Whether a second iteration has read the word.
-    multi_reader: bool,
+    /// Lock context merged over the epoch's accesses (see
+    /// [`merge_locks`]).
+    ctx: u32,
 }
 
 impl WordState {
@@ -275,8 +281,8 @@ impl WordState {
     /// for none), unless the word is serialized by one lock: for a read,
     /// the word's writer; for a write, the previous writer and the reader.
     /// A write after reads by two or more iterations reports
-    /// [`UNKNOWN_READERS`], which no post orders: only the first reader is
-    /// kept.
+    /// [`UNKNOWN_READERS`], which no post orders: the record names one
+    /// reader at most.
     fn record(&mut self, stamp: u32, task: u32, ctx: Option<u32>, is_write: bool) -> [u32; 2] {
         if self.stamp != stamp {
             *self = WordState {
@@ -285,27 +291,22 @@ impl WordState {
                 ..WordState::default()
             };
         }
-        self.ctx = self.ctx.merge(ctx);
+        self.ctx = merge_locks(self.ctx, ctx);
         let other = |ordinal: u32| if ordinal == task { 0 } else { ordinal };
         let prior = if is_write {
             let writer = std::mem::replace(&mut self.writer, task);
-            let reader = if self.multi_reader {
-                UNKNOWN_READERS
-            } else {
-                other(self.first_reader)
-            };
-            [other(writer), reader]
+            [other(writer), other(self.first_reader)]
         } else {
             if self.first_reader == 0 {
                 self.first_reader = task;
             } else if self.first_reader != task {
-                self.multi_reader = true;
+                self.first_reader = UNKNOWN_READERS;
             }
             [other(self.writer), 0]
         };
         // Cross-task conflicts are permitted when every access to the word
         // is critical under one single lock.
-        if matches!(self.ctx, LockCtx::Uniform(_)) {
+        if self.ctx != MIXED_LOCKS {
             return [0, 0];
         }
         prior
@@ -481,7 +482,9 @@ impl<'a> Interp<'a> {
                 next.push(Reverse((after, p)));
             }
             let ordinal = u32::try_from((iter - lo) / l.step + 1)
-                .expect("fewer than 2^32 iterations per DOALL");
+                .ok()
+                .filter(|&o| o != UNKNOWN_READERS)
+                .expect("fewer than 2^32 - 1 iterations per DOALL");
             env.bind(l.var, iter);
             let mut task = self.task(p as u32, &mut per_proc[p], race_stamp, ordinal);
             for s in &l.body {
@@ -662,7 +665,7 @@ impl<'a> TaskCtx<'a, '_> {
         self.emit(Event::Read {
             addr,
             kind,
-            version: u64::from(version),
+            version,
         });
     }
 
@@ -678,7 +681,7 @@ impl<'a> TaskCtx<'a, '_> {
             .version
             .checked_add(1)
             .expect("fewer than 2^32 writes to one word");
-        let version = u64::from(word.version);
+        let version = word.version;
         self.conflict(addr, prior);
         if shared && self.critical.is_some() {
             self.emit(Event::CriticalWrite { addr, version });
@@ -895,7 +898,7 @@ mod tests {
         )
         .unwrap();
         let span = t.layout.total_words();
-        let mut writes: std::collections::HashMap<u64, u64> = Default::default();
+        let mut writes: std::collections::HashMap<u64, Version> = Default::default();
         for p in 0..3 {
             for ev in t.epochs.iter().flat_map(|e| &e.per_proc[p]) {
                 match *ev {
@@ -955,13 +958,17 @@ mod tests {
 
     #[test]
     fn table_pages_stay_under_the_mmap_threshold() {
+        // Rust does not specify struct layout; this pins the 20 bytes the
+        // five `u32` fields take today, so a widened field shows here.
+        assert_eq!(std::mem::size_of::<WordState>(), 20);
         let page = std::mem::size_of::<WordState>() * tpi_mem::dense::PAGE_ENTRIES;
+        assert_eq!(page, 80 << 10, "{page}-byte pages");
         assert!(page < 128 << 10, "{page}-byte pages");
     }
 
     /// Every write event of `t`'s epoch `epoch`, as `(addr, version)`.
-    fn writes_of(t: &Trace, epoch: usize) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = t.epochs[epoch]
+    fn writes_of(t: &Trace, epoch: usize) -> Vec<(u64, Version)> {
+        let mut out: Vec<(u64, Version)> = t.epochs[epoch]
             .per_proc
             .iter()
             .flatten()
@@ -1167,7 +1174,7 @@ mod tests {
     fn a_read_then_write_chain_is_reported_without_transitive_order() {
         // Each iteration reads X(0) and writes it after waiting for its
         // predecessor. The third write follows reads by two iterations,
-        // and the detector keeps only the first reader, so it cannot see
+        // and the detector names one reader at most, so it cannot see
         // that the chain orders them all (`TraceOptions::check_races`).
         let opts = TraceOptions {
             num_procs: 4,

@@ -10,7 +10,7 @@
 
 use crate::event::{Event, Trace};
 use std::collections::HashMap;
-use tpi_mem::{Epoch, ProcId, WordAddr};
+use tpi_mem::{Epoch, ProcId, Version, WordAddr};
 
 /// Provenance of one written word version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub struct Writer {
 /// Ground truth for a whole trace: `(word, version) -> writer`.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
-    writers: HashMap<(WordAddr, u64), Writer>,
+    writers: HashMap<(WordAddr, Version), Writer>,
 }
 
 impl GroundTruth {
@@ -61,7 +61,7 @@ impl GroundTruth {
     ///
     /// Version 0 (initial memory contents) has no writer.
     #[must_use]
-    pub fn writer(&self, addr: WordAddr, version: u64) -> Option<Writer> {
+    pub fn writer(&self, addr: WordAddr, version: Version) -> Option<Writer> {
         self.writers.get(&(addr, version)).copied()
     }
 

@@ -50,7 +50,9 @@ impl Fnv {
             ReadKind::Plain => self.u8(0),
             ReadKind::TimeRead { distance } => {
                 self.u8(1);
-                self.u32(distance);
+                // Widened back to the four bytes the pins were computed
+                // over, as the versions below are to eight.
+                self.u32(u32::from(distance));
             }
             ReadKind::Bypass => self.u8(2),
             ReadKind::Critical => self.u8(3),
@@ -71,17 +73,17 @@ impl Fnv {
                 self.u8(1);
                 self.u64(addr.0);
                 self.kind(kind);
-                self.u64(version);
+                self.u64(u64::from(version));
             }
             Event::Write { addr, version } => {
                 self.u8(2);
                 self.u64(addr.0);
-                self.u64(version);
+                self.u64(u64::from(version));
             }
             Event::CriticalWrite { addr, version } => {
                 self.u8(3);
                 self.u64(addr.0);
-                self.u64(version);
+                self.u64(u64::from(version));
             }
             Event::AcquireLock(lock) => {
                 self.u8(4);
